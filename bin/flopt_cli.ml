@@ -922,9 +922,8 @@ module Traffic_args = struct
                    traffic takes the failover path to the next healthy \
                    node.")
 
-  (* --shed off with no --breaker means no overload subsystem at all: the
-     engine takes the pre-overload code path and reports stay
-     byte-identical *)
+  (* --shed off with no --breaker means overload = None: the engine runs
+     its identity controller and the report has no overload section *)
   let overload_params ~cmd shed_spec capacity breaker_spec =
     let breaker =
       match breaker_spec with

@@ -6,10 +6,12 @@ open Flo_workloads
    Tenants draw apps Zipfian-by-rank, jobs arrive per tenant as a seeded
    Poisson (or on/off bursty) process, and each tenant runs either the
    default or the compiler-optimized layouts.  The hierarchy is sharded by
-   storage node: tenant i lives on shard (i mod storage_nodes), each shard
-   is simulated by one task on the Parallel domain pool (batched Kernel
-   replay, per-shard congestion), and per-shard stats are merged in shard
-   order — so results are identical at every jobs setting.
+   storage node: tenant i lives on shard (i mod storage_nodes).  [simulate]
+   plans each shard's tenants as one task on the Parallel domain pool,
+   lets a controller decide what each (shard, window) serves, replays the
+   served cells through the batched kernels (again one task per shard),
+   and merges per-shard stats in shard order — so results are identical at
+   every jobs setting.
 
    Determinism: every stochastic draw comes from a splitmix64 substream
    keyed by (seed, tenant, purpose) — never Random, never the wall clock —
@@ -35,8 +37,8 @@ type params = {
           profile collection and skips the tracing sweep entirely *)
   overload : Overload.params option;
       (** admission control / load shedding / circuit breaking; [None]
-          (the default) runs the open-loop path untouched — byte-identical
-          to a build without the subsystem *)
+          (the default) selects the identity controller, which serves every
+          job at home — the open-loop engine *)
 }
 
 let default_params ~mix =
@@ -196,14 +198,16 @@ let compile_kernels ?jobs ?sample ?faults ~config p =
   let n = Array.length ranked in
   Array.init n (fun r -> (compiled.(r), compiled.(n + r)))
 
-(* one tenant's phase-A summary: layout decision, per-(window, rank) job
-   counts and the service demand those jobs put on the tenant's home shard
-   in each window *)
+(* one tenant's plan: layout decision, per-(window, rank) job counts, the
+   requests they offer and the service demand they put on the tenant's home
+   shard in each window, all in normal-kernel units *)
 type tenant_plan = {
   pl_tenant : int;
   pl_optimized : bool;
   pl_window_jobs : int array array;  (** windows x ranks *)
   pl_window_demand_us : float array;  (** per window *)
+  pl_jobs : int;
+  pl_requests : int;
 }
 
 let plan_rank_jobs pl =
@@ -212,6 +216,19 @@ let plan_rank_jobs pl =
   let sums = Array.make ranks 0 in
   Array.iter (Array.iteri (fun r j -> sums.(r) <- sums.(r) + j)) pl.pl_window_jobs;
   sums
+
+(* the kernel of rank [r] for a tenant with this layout *)
+let layout_kernel arr r optimized =
+  let kd, ki = arr.(r) in
+  if optimized then ki else kd
+
+(* ... and under an admission variant; variants whose kernels were never
+   compiled fall back to the normal ones *)
+let variant_kernel ~kernels ~ff_kernels ~bw_kernels variant =
+  layout_kernel
+    (match ((variant : Overload.variant), ff_kernels, bw_kernels) with
+    | Overload.Fail_fast_serve, Some a, _ | Overload.Browned, _, Some a -> a
+    | _ -> kernels)
 
 let plan_tenant ~p ~zipf ~kernels tenant =
   let prng_layout = Flo_faults.Prng.for_stream ~seed:p.seed ~stream:(stream_layout tenant) in
@@ -230,6 +247,7 @@ let plan_tenant ~p ~zipf ~kernels tenant =
       let w = min (p.windows - 1) (int_of_float (t /. win_len)) in
       let r = Zipf.sample zipf prng_apps in
       window_jobs.(w).(r) <- window_jobs.(w).(r) + 1);
+  let jobs = ref 0 and requests = ref 0 in
   let window_demand =
     Array.map
       (fun rank_jobs ->
@@ -237,8 +255,9 @@ let plan_tenant ~p ~zipf ~kernels tenant =
         Array.iteri
           (fun r j ->
             if j > 0 then begin
-              let kd, ki = kernels.(r) in
-              let k = if optimized then ki else kd in
+              let k = layout_kernel kernels r optimized in
+              jobs := !jobs + j;
+              requests := !requests + (j * k.Kernel.requests_per_job);
               demand := !demand +. (float_of_int j *. k.Kernel.demand_us_per_job)
             end)
           rank_jobs;
@@ -246,7 +265,7 @@ let plan_tenant ~p ~zipf ~kernels tenant =
       window_jobs
   in
   { pl_tenant = tenant; pl_optimized = optimized; pl_window_jobs = window_jobs;
-    pl_window_demand_us = window_demand }
+    pl_window_demand_us = window_demand; pl_jobs = !jobs; pl_requests = !requests }
 
 (* Traffic histograms use a much finer bucket resolution than the default
    run-level shape (gamma 1.05 ≈ 5% relative error instead of 60%): tenant
@@ -257,34 +276,67 @@ let hist_create () = Flo_obs.Histogram.create ~gamma:1.05 ~buckets:640 ()
 
 let hist_merge_list hists = List.fold_left Flo_obs.Histogram.merge (hist_create ()) hists
 
-(* Phase B: replay the tenant's jobs through the batched kernels into a
-   latency histogram, all requests of one (tenant, window, rank)
-   apportioned across the kernel's latency classes in one O(classes)
-   sweep, under that window's congestion multiplier. *)
-let replay_tenant ~kernels ~multipliers plan =
+(* The one walk over a tenant's served cells, in replay order: (window,
+   rank) ascending; within a cell every admitted slice in serving order,
+   then the jobs the controller shed there.  The identity controller
+   serves every planned job at home under its home shard's window
+   multipliers, so its walk reads the plan directly and nothing is
+   materialised per cell.  The replay, the tracer and Slo_eval all consume
+   this walk, so they see the same cells. *)
+let walk_cells ~kernels ~overload ~multipliers ~tenant ~optimized ~window_jobs ~served
+    ~shed =
+  match overload with
+  | None ->
+    Array.iteri
+      (fun w rank_jobs ->
+        Array.iteri
+          (fun r j ->
+            if j > 0 then served w r (layout_kernel kernels r optimized) j multipliers.(w))
+          rank_jobs)
+      window_jobs
+  | Some ol ->
+    let kernel_of v r =
+      variant_kernel ~kernels ~ff_kernels:ol.ol_ff_kernels ~bw_kernels:ol.ol_bw_kernels v
+        r optimized
+    in
+    Array.iteri
+      (fun w segs_row ->
+        Array.iteri
+          (fun r segs ->
+            List.iter
+              (fun (sg : Overload.seg) ->
+                served w r (kernel_of sg.Overload.sg_variant r) sg.Overload.sg_jobs
+                  sg.Overload.sg_mult)
+              segs;
+            let sj = ol.ol_tenant_shed.(tenant).(w).(r) in
+            if sj > 0 then shed w r (kernel_of Overload.Normal r) sj)
+          segs_row)
+      ol.ol_tenant_segs.(tenant)
+
+let cells r tenant =
+  let s = r.tenants_stats.(tenant) in
+  walk_cells ~kernels:r.kernels ~overload:r.overload
+    ~multipliers:r.shards.(s.shard).window_multipliers ~tenant ~optimized:s.optimized
+    ~window_jobs:s.window_rank_jobs
+
+(* replay one tenant's served cells into its latency histogram: each
+   cell's requests are apportioned across the kernel's latency classes in
+   one O(classes) sweep, under the cell's congestion multiplier *)
+let replay (walk : Tracer.cells) =
   let hist = hist_create () in
   let requests = ref 0 in
-  Array.iteri
-    (fun w rank_jobs ->
-      let multiplier = multipliers.(w) in
+  walk
+    ~served:(fun _ _ k jobs multiplier ->
+      let n = jobs * k.Kernel.requests_per_job in
+      requests := !requests + n;
       Array.iteri
-        (fun r j ->
-          if j > 0 then begin
-            let kd, ki = kernels.(r) in
-            let k = if plan.pl_optimized then ki else kd in
-            let n = j * k.Kernel.requests_per_job in
-            requests := !requests + n;
-            let counts = Kernel.apportion k ~requests:n in
-            Array.iteri
-              (fun i cnt ->
-                if cnt > 0 then
-                  Flo_obs.Histogram.add_many hist
-                    (k.Kernel.classes.(i).Kernel.latency_us *. multiplier)
-                    cnt)
-              counts
-          end)
-        rank_jobs)
-    plan.pl_window_jobs;
+        (fun i cnt ->
+          if cnt > 0 then
+            Flo_obs.Histogram.add_many hist
+              (k.Kernel.classes.(i).Kernel.latency_us *. multiplier)
+              cnt)
+        (Kernel.apportion k ~requests:n))
+    ~shed:(fun _ _ _ _ -> ());
   (hist, !requests)
 
 let jain xs =
@@ -299,7 +351,7 @@ let mean_of = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-(* cross-tenant aggregates shared by the plain and overload paths *)
+(* cross-tenant aggregates *)
 let noisy_delta ~p ~shards_n active =
   if p.noisy_boost <= 1. || shards_n < 2 || p.tenants < 2 then None
   else begin
@@ -328,9 +380,10 @@ let opt_advantage active =
     let d = mean_of (List.map (fun (s : tenant_stats) -> s.p50_us) dfl) in
     if d = 0. then None else Some (100. *. ((d -. o) /. d))
 
-(* per-tenant and per-shard counters for the observability layer; filled
-   after the parallel phase so the registry is only touched by one domain *)
-let publish_base_metrics registry tenants_stats shards =
+(* per-tenant, per-shard and overload counters for the observability
+   layer; filled after the parallel phases so the registry is only touched
+   by one domain *)
+let publish_metrics registry tenants_stats shards overload =
   Array.iter
     (fun s ->
       let labels = [ ("tenant", string_of_int s.tenant) ] in
@@ -343,175 +396,82 @@ let publish_base_metrics registry tenants_stats shards =
       let labels = [ ("shard", string_of_int s.shard) ] in
       Flo_obs.Metrics.incr ~by:s.shard_requests
         (Flo_obs.Metrics.counter registry ~labels "traffic.shard_requests"))
-    shards
-
-let simulate_plain ?jobs ?metrics ~config p =
-  let kernels = compile_kernels ?jobs ~config p in
-  let zipf = Zipf.make ~s:p.zipf_s ~n:(Array.length kernels) in
-  let shards_n = config.Config.topology.Flo_storage.Topology.storage_nodes in
-  let t0 = Unix.gettimeofday () in
-  (* one task per storage shard; a shard owns tenants (i mod shards_n) and
-     simulates them end to end, so cross-shard scheduling cannot matter *)
-  let shard_results =
-    Parallel.map ?jobs
-      (fun shard ->
-        let tenants =
-          List.filter (fun t -> t mod shards_n = shard)
-            (List.init p.tenants Fun.id)
-        in
-        let plans = List.map (plan_tenant ~p ~zipf ~kernels) tenants in
-        let win_len_us = p.duration_s /. float_of_int p.windows *. 1e6 in
-        (* congestion is per (shard, window): each window's multiplier is
-           1 + that window's summed demand over its length, so a burst
-           inflates only its own window's latencies.  With one window this
-           is exactly the old aggregate 1 + utilization. *)
-        let window_demand = Array.make p.windows 0. in
-        List.iter
-          (fun pl ->
-            Array.iteri
-              (fun w d -> window_demand.(w) <- window_demand.(w) +. d)
-              pl.pl_window_demand_us)
-          plans;
-        let multipliers = Array.map (fun d -> 1. +. (d /. win_len_us)) window_demand in
-        let demand_us = Array.fold_left ( +. ) 0. window_demand in
-        let utilization = demand_us /. (p.duration_s *. 1e6) in
-        let multiplier = 1. +. utilization in
-        let per_tenant =
-          List.map
-            (fun pl ->
-              let hist, requests = replay_tenant ~kernels ~multipliers pl in
-              let rank_jobs = plan_rank_jobs pl in
-              let stats =
-                {
-                  tenant = pl.pl_tenant;
-                  shard;
-                  optimized = pl.pl_optimized;
-                  jobs = Array.fold_left ( + ) 0 rank_jobs;
-                  requests;
-                  rank_jobs;
-                  window_rank_jobs = pl.pl_window_jobs;
-                  mean_us = Flo_obs.Histogram.mean hist;
-                  p50_us = Flo_obs.Histogram.percentile hist 0.5;
-                  p99_us = Flo_obs.Histogram.percentile hist 0.99;
-                }
-              in
-              (stats, hist))
-            plans
-        in
-        (* the tracing sweep observes the replay (same plans, same order):
-           it adds exemplars to the tenant histograms — which then ride the
-           shard-order merges below — but never a count, so every modeled
-           number is byte-identical with tracing on or off *)
-        let shard_traces =
-          match p.trace with
-          | None -> []
-          | Some tp ->
-            List.map2
-              (fun pl (_, hist) ->
-                Tracer.trace_tenant ~t:tp ~seed:p.seed
-                  ~stream:(stream_trace pl.pl_tenant) ~tenant:pl.pl_tenant ~shard
-                  ~optimized:pl.pl_optimized ~win_len_us ~multipliers ~kernels
-                  ~window_jobs:pl.pl_window_jobs ~hist)
-              plans per_tenant
-            |> List.concat
-        in
-        let shard_jobs = List.fold_left (fun a (s, _) -> a + s.jobs) 0 per_tenant in
-        let shard_requests =
-          List.fold_left (fun a (s, _) -> a + s.requests) 0 per_tenant
-        in
-        let shard_hist = hist_merge_list (List.map snd per_tenant) in
-        ( {
-            shard;
-            shard_tenants = List.length tenants;
-            shard_jobs;
-            shard_requests;
-            utilization;
-            multiplier;
-            window_multipliers = multipliers;
-          },
-          List.map fst per_tenant,
-          shard_hist,
-          shard_traces ))
-      (Array.init shards_n Fun.id)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let shards = Array.map (fun (s, _, _, _) -> s) shard_results in
-  let tenants_stats = Array.make p.tenants None in
-  Array.iter
-    (fun (_, stats, _, _) ->
-      List.iter (fun s -> tenants_stats.(s.tenant) <- Some s) stats)
-    shard_results;
-  let tenants_stats =
-    Array.map (function Some s -> s | None -> assert false) tenants_stats
-  in
-  let agg_hist =
-    hist_merge_list (Array.to_list (Array.map (fun (_, _, h, _) -> h) shard_results))
-  in
-  (* sampled traces merge in shard order, like the histograms — the list is
-     identical at every jobs value *)
-  let traces =
-    List.concat_map (fun (_, _, _, ts) -> ts) (Array.to_list shard_results)
-  in
-  let total_jobs = Array.fold_left (fun a s -> a + s.shard_jobs) 0 shards in
-  let total_requests = Array.fold_left (fun a s -> a + s.shard_requests) 0 shards in
-  let active = List.filter (fun s -> s.requests > 0) (Array.to_list tenants_stats) in
-  let fairness = jain (Array.of_list (List.map (fun s -> s.mean_us) active)) in
-  let noisy_p99_delta_pct = noisy_delta ~p ~shards_n active in
-  let opt_p50_advantage_pct = opt_advantage active in
-  (match metrics with
-  | None -> ()
-  | Some registry -> publish_base_metrics registry tenants_stats shards);
-  {
-    params = p;
     shards;
-    tenants_stats;
-    kernels;
-    agg_hist;
-    traces;
-    total_jobs;
-    total_requests;
-    offered_rps = float_of_int total_requests /. p.duration_s;
-    agg_p50_us = Flo_obs.Histogram.percentile agg_hist 0.5;
-    agg_p99_us = Flo_obs.Histogram.percentile agg_hist 0.99;
-    fairness;
-    noisy_p99_delta_pct;
-    opt_p50_advantage_pct;
-    wall_s;
-    modeled_rps =
-      (if wall_s > 0. then float_of_int total_requests /. wall_s else 0.);
-    overload = None;
-  }
+  Option.iter
+    (fun ol ->
+      let counter name by =
+        Flo_obs.Metrics.incr ~by (Flo_obs.Metrics.counter registry name)
+      in
+      counter "overload.shed_requests" ol.ol_shed_requests;
+      counter "overload.admitted_requests" ol.ol_admitted_requests;
+      counter "overload.browned_jobs" ol.ol_browned_jobs;
+      counter "overload.failover_jobs" ol.ol_failover_jobs;
+      Flo_obs.Metrics.set_gauge
+        (Flo_obs.Metrics.gauge registry "overload.goodput_rps")
+        ol.ol_goodput_rps;
+      Flo_obs.Metrics.set_gauge
+        (Flo_obs.Metrics.gauge registry "overload.shed_fraction")
+        ol.ol_shed_fraction;
+      Array.iteri
+        (fun s cells ->
+          let opened =
+            Array.fold_left
+              (fun a c ->
+                match c.aw_breaker with Some (Flo_faults.Breaker.Open _) -> a + 1 | _ -> a)
+              0 cells
+          in
+          if opened > 0 then
+            Flo_obs.Metrics.incr ~by:opened
+              (Flo_obs.Metrics.counter registry
+                 ~labels:[ ("shard", string_of_int s) ]
+                 "overload.breaker_open_windows"))
+        ol.ol_admissions)
+    overload
 
 (* ---------------------------------------------------------------------- *)
-(* Overload path: admission control, load shedding, circuit breaking.
+(* Control: between planning and replay, a controller decides which jobs
+   each (shard, window) serves, with which kernels and under which
+   congestion multiplier.  It answers with the shard rows of the result and
+   the overload ledger the cell walk reads ([None] for the identity
+   controller).  Both controllers are pure functions of the plans: no
+   draws, no wall clock, so they are byte-identical at every jobs value. *)
 
-   Three phases.  Phase A plans every tenant in parallel per home shard
-   (identical draws to the plain path — the subsystem makes no PRNG draws
-   of its own).  Phase B is a sequential control loop over (window, shard):
-   breakers decide what each shard admits, open shards route their traffic
-   along the failover path, and the admission controller keeps each serving
-   shard's demand at or under [capacity * window length] by shedding,
-   degrading, or retry-suppressing whole jobs — all exact-integer
-   largest-remainder decisions, so the loop is a pure function of the plans
-   and byte-identical at every jobs value.  Phase C replays the admitted
-   segments in parallel per home shard. *)
+(* Controls off: admit every job at home.  Congestion is per (shard,
+   window): each window's multiplier is 1 + that window's summed demand over
+   its length, so a burst inflates only its own window's latencies.  The
+   demand is summed per tenant over ranks (in the plan), then over the
+   shard's tenants in plan order. *)
+let identity_control ~p shard_plans =
+  let win_len_us = p.duration_s /. float_of_int p.windows *. 1e6 in
+  Array.mapi
+    (fun shard plans ->
+      let window_demand = Array.make p.windows 0. in
+      List.iter
+        (fun pl ->
+          Array.iteri
+            (fun w d -> window_demand.(w) <- window_demand.(w) +. d)
+            pl.pl_window_demand_us)
+        plans;
+      let demand_us = Array.fold_left ( +. ) 0. window_demand in
+      let utilization = demand_us /. (p.duration_s *. 1e6) in
+      {
+        shard;
+        shard_tenants = List.length plans;
+        shard_jobs = List.fold_left (fun a pl -> a + pl.pl_jobs) 0 plans;
+        shard_requests = List.fold_left (fun a pl -> a + pl.pl_requests) 0 plans;
+        utilization;
+        multiplier = 1. +. utilization;
+        window_multipliers = Array.map (fun d -> 1. +. (d /. win_len_us)) window_demand;
+      })
+    shard_plans
 
-(* serve [jobs] of rank [r] with the variant's kernel for this layout *)
-let overload_kernel ~kernels ~ff_kernels ~bw_kernels variant r optimized =
-  let pick arr =
-    let kd, ki = arr.(r) in
-    if optimized then ki else kd
-  in
-  match (variant : Overload.variant) with
-  | Overload.Normal -> pick kernels
-  | Overload.Fail_fast_serve ->
-    (match ff_kernels with Some a -> pick a | None -> pick kernels)
-  | Overload.Browned ->
-    (match bw_kernels with Some a -> pick a | None -> pick kernels)
-
-let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
-  let kernels = compile_kernels ?jobs ~config p in
-  let t0 = Unix.gettimeofday () in
+(* Controls on: a sequential loop over (window, shard).  Breakers decide
+   what each shard admits, open shards route their traffic along the
+   failover path, and the admission controller keeps each serving shard's
+   demand at or under [capacity * window length] by shedding, degrading,
+   or retry-suppressing whole jobs — all exact-integer largest-remainder
+   decisions. *)
+let admission_control ?jobs ~config ~p ~kernels ~(o : Overload.params) shard_plans =
   (* kernel variants: fail-fast recompiles under the same plan with the
      retry budget zeroed (retries shed before any fresh job); brownout
      recompiles at a coarser sampling factor (degraded service, reusing the
@@ -536,26 +496,14 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
       Some (compile_kernels ?jobs ~sample:(p.sample * o.Overload.brownout_factor) ~config p)
     else None
   in
-  let kernel_of = overload_kernel ~kernels ~ff_kernels ~bw_kernels in
-  let zipf = Zipf.make ~s:p.zipf_s ~n:(Array.length kernels) in
-  let shards_n = config.Config.topology.Flo_storage.Topology.storage_nodes in
+  let kernel_of = variant_kernel ~kernels ~ff_kernels ~bw_kernels in
+  let shards_n = Array.length shard_plans in
   let ranks = Array.length kernels in
   let win_len_us = p.duration_s /. float_of_int p.windows *. 1e6 in
   let target_us =
     match o.Overload.shed with
     | None -> infinity  (* breaker-only mode: route, never shed *)
     | Some _ -> o.Overload.capacity *. win_len_us
-  in
-  (* phase A: plan tenants in parallel, one task per home shard — the same
-     fan-out (and the same substream draws) as the plain path *)
-  let shard_tenant_ids =
-    Array.init shards_n (fun shard ->
-        List.filter (fun t -> t mod shards_n = shard) (List.init p.tenants Fun.id))
-  in
-  let shard_plans =
-    Parallel.map ?jobs
-      (fun shard -> List.map (plan_tenant ~p ~zipf ~kernels) shard_tenant_ids.(shard))
-      (Array.init shards_n Fun.id)
   in
   (* a shard's admission classes: every (tenant, rank) pair homed on it, in
      home order — the order every split decision is made in *)
@@ -573,12 +521,12 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
           Some (Flo_faults.Breaker.create spec)
         | _ -> None)
   in
-  (* phase B ledgers *)
   let tenant_segs =
     Array.init p.tenants (fun _ ->
         Array.init p.windows (fun _ -> Array.make ranks ([] : Overload.seg list)))
   in
   let tenant_shed = Array.init p.tenants (fun _ -> Array.make_matrix p.windows ranks 0) in
+  let shed_requests = ref 0 in
   let dummy_cell =
     {
       aw_offered_jobs = 0;
@@ -861,8 +809,7 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
                 errors :=
                   !errors + (cnt * (k.Kernel.errors_per_job + k.Kernel.timeouts_per_job));
                 tenant_segs.(pl.pl_tenant).(w).(r) <-
-                  { Overload.sg_variant = v; sg_jobs = cnt; sg_mult = multiplier;
-                    sg_shard = t }
+                  { Overload.sg_variant = v; sg_jobs = cnt; sg_mult = multiplier }
                   :: tenant_segs.(pl.pl_tenant).(w).(r)
               end
             in
@@ -873,6 +820,9 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
             let sh = n - kept.(i) - browned.(i) in
             if sh > 0 then begin
               shed_jobs := !shed_jobs + sh;
+              shed_requests :=
+                !shed_requests
+                + (sh * (kernel_of Overload.Normal r pl.pl_optimized).Kernel.requests_per_job);
               tenant_shed.(pl.pl_tenant).(w).(r) <- tenant_shed.(pl.pl_tenant).(w).(r) + sh
             end)
           entries;
@@ -913,77 +863,7 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
         (fun rrow -> Array.iteri (fun r segs -> rrow.(r) <- List.rev segs) rrow)
         wmat)
     tenant_segs;
-  (* phase C: replay admitted segments in parallel per home shard *)
-  let replay_segments pl =
-    let hist = hist_create () in
-    let requests = ref 0 in
-    Array.iter
-      (fun rrow ->
-        Array.iteri
-          (fun r segl ->
-            List.iter
-              (fun (sg : Overload.seg) ->
-                let k = kernel_of sg.Overload.sg_variant r pl.pl_optimized in
-                let n = sg.Overload.sg_jobs * k.Kernel.requests_per_job in
-                requests := !requests + n;
-                let cnts = Kernel.apportion k ~requests:n in
-                Array.iteri
-                  (fun i cnt ->
-                    if cnt > 0 then
-                      Flo_obs.Histogram.add_many hist
-                        (k.Kernel.classes.(i).Kernel.latency_us *. sg.Overload.sg_mult)
-                        cnt)
-                  cnts)
-              segl)
-          rrow)
-      tenant_segs.(pl.pl_tenant);
-    (hist, !requests)
-  in
-  let shard_results =
-    Parallel.map ?jobs
-      (fun shard ->
-        let plans = shard_plans.(shard) in
-        let per_tenant =
-          List.map
-            (fun pl ->
-              let hist, requests = replay_segments pl in
-              let rank_jobs = plan_rank_jobs pl in
-              let stats =
-                {
-                  tenant = pl.pl_tenant;
-                  shard;
-                  optimized = pl.pl_optimized;
-                  (* jobs are what arrived; requests are what was served *)
-                  jobs = Array.fold_left ( + ) 0 rank_jobs;
-                  requests;
-                  rank_jobs;
-                  window_rank_jobs = pl.pl_window_jobs;
-                  mean_us = Flo_obs.Histogram.mean hist;
-                  p50_us = Flo_obs.Histogram.percentile hist 0.5;
-                  p99_us = Flo_obs.Histogram.percentile hist 0.99;
-                }
-              in
-              (stats, hist))
-            plans
-        in
-        let shard_traces =
-          match p.trace with
-          | None -> []
-          | Some tp ->
-            List.map2
-              (fun pl (_, hist) ->
-                Tracer.trace_tenant_overload ~t:tp ~seed:p.seed
-                  ~stream:(stream_trace pl.pl_tenant) ~tenant:pl.pl_tenant ~shard
-                  ~optimized:pl.pl_optimized ~win_len_us ~kernels ~ff_kernels
-                  ~bw_kernels ~segs:tenant_segs.(pl.pl_tenant)
-                  ~shed:tenant_shed.(pl.pl_tenant) ~hist)
-              plans per_tenant
-            |> List.concat
-        in
-        (List.map fst per_tenant, hist_merge_list (List.map snd per_tenant), shard_traces))
-      (Array.init shards_n Fun.id)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
+
   (* shard stats under overload use serving-shard attribution, straight
      from the admission ledger *)
   let shards =
@@ -995,7 +875,7 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
         let utilization = admitted_us /. (p.duration_s *. 1e6) in
         {
           shard = s;
-          shard_tenants = List.length shard_tenant_ids.(s);
+          shard_tenants = List.length shard_plans.(s);
           shard_jobs =
             Array.fold_left (fun a c -> a + c.aw_admitted_jobs + c.aw_browned_jobs) 0 cells;
           shard_requests = Array.fold_left (fun a c -> a + c.aw_served_requests) 0 cells;
@@ -1004,6 +884,119 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
           window_multipliers = Array.map (fun c -> c.aw_multiplier) cells;
         })
   in
+  let sum_cells f =
+    Array.fold_left
+      (fun a cells -> Array.fold_left (fun a c -> a + f c) a cells)
+      0 admissions
+  in
+  (* offered and shed requests are in normal-kernel units *)
+  let offered_requests =
+    Array.fold_left (List.fold_left (fun a pl -> a + pl.pl_requests)) 0 shard_plans
+  in
+  let admitted_requests = sum_cells (fun c -> c.aw_served_requests) in
+  ( shards,
+    {
+      ol_params = o;
+      ol_ff_kernels = ff_kernels;
+      ol_bw_kernels = bw_kernels;
+      ol_tenant_segs = tenant_segs;
+      ol_tenant_shed = tenant_shed;
+      ol_admissions = admissions;
+      ol_offered_requests = offered_requests;
+      ol_admitted_requests = admitted_requests;
+      ol_shed_requests = !shed_requests;
+      ol_browned_jobs = sum_cells (fun c -> c.aw_browned_jobs);
+      ol_failover_jobs = sum_cells (fun c -> c.aw_routed_in_jobs);
+      ol_retry_suppressed_windows = sum_cells (fun c -> if c.aw_retry_suppressed then 1 else 0);
+      ol_goodput_rps = float_of_int admitted_requests /. p.duration_s;
+      ol_shed_fraction =
+        (if offered_requests = 0 then 0.
+         else float_of_int !shed_requests /. float_of_int offered_requests);
+    } )
+
+(* ---------------------------------------------------------------------- *)
+(* The pipeline: plan (parallel per home shard) -> control -> replay and
+   trace (parallel per home shard) -> observe (merge in shard order). *)
+
+let simulate ?jobs ?metrics ~config p =
+  (match validate p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Traffic.Engine.simulate: " ^ msg));
+  let kernels = compile_kernels ?jobs ~config p in
+  let zipf = Zipf.make ~s:p.zipf_s ~n:(Array.length kernels) in
+  let shards_n = config.Config.topology.Flo_storage.Topology.storage_nodes in
+  let t0 = Unix.gettimeofday () in
+  (* plan: one task per storage shard; a shard owns tenants (i mod
+     shards_n), so cross-shard scheduling cannot matter *)
+  let shard_plans =
+    Parallel.map ?jobs
+      (fun shard ->
+        List.map (plan_tenant ~p ~zipf ~kernels)
+          (List.filter (fun t -> t mod shards_n = shard) (List.init p.tenants Fun.id)))
+      (Array.init shards_n Fun.id)
+  in
+  let shards, overload =
+    match p.overload with
+    | None -> (identity_control ~p shard_plans, None)
+    | Some o ->
+      let shards, ol = admission_control ?jobs ~config ~p ~kernels ~o shard_plans in
+      (shards, Some ol)
+  in
+  let win_len_us = p.duration_s /. float_of_int p.windows *. 1e6 in
+  (* replay, then let the tracer observe the same cells: it adds exemplars
+     to the tenant histograms — which then ride the shard-order merges
+     below — but never a count, so every modeled number is byte-identical
+     with tracing on or off *)
+  let shard_results =
+    Parallel.map ?jobs
+      (fun shard ->
+        (* each tenant's histogram folds into the shard's as soon as its
+           stats and traces are taken — the same left fold as
+           [hist_merge_list], with one tenant histogram alive at a time *)
+        let stats_rev, traces_rev, shard_hist =
+          List.fold_left
+            (fun (stats_rev, traces_rev, shard_hist) pl ->
+              let walk =
+                walk_cells ~kernels ~overload
+                  ~multipliers:shards.(shard).window_multipliers ~tenant:pl.pl_tenant
+                  ~optimized:pl.pl_optimized ~window_jobs:pl.pl_window_jobs
+              in
+              let hist, requests = replay walk in
+              let rank_jobs = plan_rank_jobs pl in
+              let stats =
+                {
+                  tenant = pl.pl_tenant;
+                  shard;
+                  optimized = pl.pl_optimized;
+                  (* jobs are what arrived; requests are what was served *)
+                  jobs = pl.pl_jobs;
+                  requests;
+                  rank_jobs;
+                  window_rank_jobs = pl.pl_window_jobs;
+                  mean_us = Flo_obs.Histogram.mean hist;
+                  p50_us = Flo_obs.Histogram.percentile hist 0.5;
+                  p99_us = Flo_obs.Histogram.percentile hist 0.99;
+                }
+              in
+              let traces =
+                match p.trace with
+                | None -> []
+                | Some t ->
+                  Tracer.trace_tenant ~t ~seed:p.seed ~stream:(stream_trace pl.pl_tenant)
+                    ~tenant:pl.pl_tenant ~shard ~win_len_us ~windows:p.windows ~hist walk
+              in
+              ( stats :: stats_rev,
+                List.rev_append traces traces_rev,
+                Flo_obs.Histogram.merge shard_hist hist ))
+            ([], [], hist_create ())
+            shard_plans.(shard)
+        in
+        (List.rev stats_rev, shard_hist, List.rev traces_rev))
+      (Array.init shards_n Fun.id)
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  (* observe: tenants by id; histograms and sampled traces merge in shard
+     order, so both are identical at every jobs value *)
   let tenants_stats = Array.make p.tenants None in
   Array.iter
     (fun (stats, _, _) -> List.iter (fun s -> tenants_stats.(s.tenant) <- Some s) stats)
@@ -1017,85 +1010,8 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
   let traces = List.concat_map (fun (_, _, ts) -> ts) (Array.to_list shard_results) in
   let total_jobs = Array.fold_left (fun a s -> a + s.shard_jobs) 0 shards in
   let total_requests = Array.fold_left (fun a s -> a + s.shard_requests) 0 shards in
-  (* offered / shed request accounting, in normal-kernel units *)
-  let rpj tenant r =
-    let k = kernel_of Overload.Normal r tenants_stats.(tenant).optimized in
-    k.Kernel.requests_per_job
-  in
-  let offered_requests = ref 0 in
-  let shed_requests = ref 0 in
-  Array.iteri
-    (fun tenant s ->
-      Array.iteri (fun r j -> offered_requests := !offered_requests + (j * rpj tenant r))
-        s.rank_jobs;
-      Array.iter
-        (fun row ->
-          Array.iteri (fun r j -> shed_requests := !shed_requests + (j * rpj tenant r)) row)
-        tenant_shed.(tenant))
-    tenants_stats;
-  let sum_cells f =
-    Array.fold_left
-      (fun a cells -> Array.fold_left (fun a c -> a + f c) a cells)
-      0 admissions
-  in
-  let browned_jobs = sum_cells (fun c -> c.aw_browned_jobs) in
-  let failover_jobs = sum_cells (fun c -> c.aw_routed_in_jobs) in
-  let retry_suppressed_windows = sum_cells (fun c -> if c.aw_retry_suppressed then 1 else 0) in
-  let ol =
-    {
-      ol_params = o;
-      ol_ff_kernels = ff_kernels;
-      ol_bw_kernels = bw_kernels;
-      ol_tenant_segs = tenant_segs;
-      ol_tenant_shed = tenant_shed;
-      ol_admissions = admissions;
-      ol_offered_requests = !offered_requests;
-      ol_admitted_requests = total_requests;
-      ol_shed_requests = !shed_requests;
-      ol_browned_jobs = browned_jobs;
-      ol_failover_jobs = failover_jobs;
-      ol_retry_suppressed_windows = retry_suppressed_windows;
-      ol_goodput_rps = float_of_int total_requests /. p.duration_s;
-      ol_shed_fraction =
-        (if !offered_requests = 0 then 0.
-         else float_of_int !shed_requests /. float_of_int !offered_requests);
-    }
-  in
   let active = List.filter (fun s -> s.requests > 0) (Array.to_list tenants_stats) in
-  let fairness = jain (Array.of_list (List.map (fun s -> s.mean_us) active)) in
-  let noisy_p99_delta_pct = noisy_delta ~p ~shards_n active in
-  let opt_p50_advantage_pct = opt_advantage active in
-  (match metrics with
-  | None -> ()
-  | Some registry ->
-    publish_base_metrics registry tenants_stats shards;
-    let counter name by =
-      Flo_obs.Metrics.incr ~by (Flo_obs.Metrics.counter registry name)
-    in
-    counter "overload.shed_requests" ol.ol_shed_requests;
-    counter "overload.admitted_requests" ol.ol_admitted_requests;
-    counter "overload.browned_jobs" ol.ol_browned_jobs;
-    counter "overload.failover_jobs" ol.ol_failover_jobs;
-    Flo_obs.Metrics.set_gauge
-      (Flo_obs.Metrics.gauge registry "overload.goodput_rps")
-      ol.ol_goodput_rps;
-    Flo_obs.Metrics.set_gauge
-      (Flo_obs.Metrics.gauge registry "overload.shed_fraction")
-      ol.ol_shed_fraction;
-    Array.iteri
-      (fun s cells ->
-        let opened =
-          Array.fold_left
-            (fun a c ->
-              match c.aw_breaker with Some (Flo_faults.Breaker.Open _) -> a + 1 | _ -> a)
-            0 cells
-        in
-        if opened > 0 then
-          Flo_obs.Metrics.incr ~by:opened
-            (Flo_obs.Metrics.counter registry
-               ~labels:[ ("shard", string_of_int s) ]
-               "overload.breaker_open_windows"))
-      admissions);
+  Option.iter (fun registry -> publish_metrics registry tenants_stats shards overload) metrics;
   {
     params = p;
     shards;
@@ -1108,18 +1024,10 @@ let simulate_overload ?jobs ?metrics ~config ~(o : Overload.params) p =
     offered_rps = float_of_int total_requests /. p.duration_s;
     agg_p50_us = Flo_obs.Histogram.percentile agg_hist 0.5;
     agg_p99_us = Flo_obs.Histogram.percentile agg_hist 0.99;
-    fairness;
-    noisy_p99_delta_pct;
-    opt_p50_advantage_pct;
+    fairness = jain (Array.of_list (List.map (fun s -> s.mean_us) active));
+    noisy_p99_delta_pct = noisy_delta ~p ~shards_n active;
+    opt_p50_advantage_pct = opt_advantage active;
     wall_s;
     modeled_rps = (if wall_s > 0. then float_of_int total_requests /. wall_s else 0.);
-    overload = Some ol;
+    overload;
   }
-
-let simulate ?jobs ?metrics ~config p =
-  (match validate p with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Traffic.Engine.simulate: " ^ msg));
-  match p.overload with
-  | None -> simulate_plain ?jobs ?metrics ~config p
-  | Some o -> simulate_overload ?jobs ?metrics ~config ~o p

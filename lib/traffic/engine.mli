@@ -38,9 +38,10 @@ type params = {
           [result.traces] and histogram exemplars *)
   overload : Overload.params option;
       (** admission control, load shedding and circuit breaking
-          ({!Overload}); [None] (the default) takes the open-loop code path
-          untouched, so every report is byte-identical to a build without
-          the subsystem *)
+          ({!Overload}); [None] (the default) selects the identity
+          controller, which admits every job at home under its shard's
+          window congestion — the open-loop engine — and leaves
+          [result.overload = None] *)
 }
 
 val default_params : mix:App.t list -> params
@@ -103,9 +104,9 @@ type shard_window_admission = {
           breaker is armed on the shard *)
 }
 
-(** Everything the overload subsystem decided, exposed for reports, SLO
-    scoring and tests.  [ol_tenant_segs] is the ground truth the replay,
-    the tracer and {!Slo_eval} all walk in identical order. *)
+(** Everything the admission controller decided, exposed for reports,
+    SLO scoring and tests.  [ol_tenant_segs] and [ol_tenant_shed] are what
+    {!cells} walks under overload control. *)
 type overload_stats = {
   ol_params : Overload.params;
   ol_ff_kernels : (Kernel.t * Kernel.t) array option;
@@ -168,18 +169,32 @@ val simulate :
   ?jobs:int -> ?metrics:Flo_obs.Metrics.t -> config:Flo_engine.Config.t ->
   params -> result
 (** Compile the service kernels (one closed-loop run per (rank, mode)),
-    then replay the open-loop traffic shard by shard.  Every field except
-    [wall_s] and [modeled_rps] is a pure function of (params, config).
-    With [metrics], per-tenant [traffic.jobs]/[traffic.requests] and
-    per-shard [traffic.shard_requests] counters are recorded.
+    then run the staged pipeline: {b plan} every tenant's arrivals in
+    parallel per home shard; {b control} which jobs each (shard, window)
+    serves; {b replay} the served cells in parallel per home shard (and let
+    the tracer observe them); {b observe} by merging in shard order.
+    Every field except [wall_s] and [modeled_rps] is a pure function of
+    (params, config).  With [metrics], per-tenant
+    [traffic.jobs]/[traffic.requests] and per-shard
+    [traffic.shard_requests] counters are recorded.
 
-    With [params.overload] set, a sequential control loop runs between
-    planning and replay: per-storage-node circuit breakers decide what each
-    shard admits (an open shard's traffic takes the failover ring walk),
-    and a per-(shard, window) admission controller keeps admitted demand at
-    or under [capacity * window length] — suppressing retry storms first
-    (fail-fast kernel variants), then shedding or degrading whole jobs by
-    exact largest-remainder apportioning.  No PRNG draws are made, so the
-    trajectory is byte-identical at every [jobs] value.  Additional
-    [overload.*] counters and gauges are recorded under [metrics].
+    The controller is chosen by [params.overload].  With [None], the
+    identity controller admits every job at its home shard, whose
+    per-window multiplier is [1 + window demand / window length].  With
+    [Some], a sequential control loop runs instead: per-storage-node circuit
+    breakers decide what each shard admits (an open shard's traffic takes
+    the failover ring walk), and a per-(shard, window) admission controller
+    keeps admitted demand at or under [capacity * window length] —
+    suppressing retry storms first (fail-fast kernel variants), then
+    shedding or degrading whole jobs by exact largest-remainder
+    apportioning.  No PRNG draws are made, so the trajectory is
+    byte-identical at every [jobs] value.  Additional [overload.*] counters
+    and gauges are recorded under [metrics].
     @raise Invalid_argument when {!validate} rejects the params. *)
+
+val cells : result -> int -> Tracer.cells
+(** [cells r tenant] walks the tenant's served cells exactly as the replay
+    did: every (window, rank) slice with its serving kernel, jobs and
+    congestion multiplier, then any shed jobs.  Controls off, these are the
+    tenant's [window_rank_jobs] under its shard's [window_multipliers];
+    under overload control, its admission segments. *)

@@ -105,4 +105,4 @@ let variant_to_string = function
   | Fail_fast_serve -> "fail-fast"
   | Browned -> "browned"
 
-type seg = { sg_variant : variant; sg_jobs : int; sg_mult : float; sg_shard : int }
+type seg = { sg_variant : variant; sg_jobs : int; sg_mult : float }

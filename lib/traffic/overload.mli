@@ -10,8 +10,8 @@
     unhealthy node's traffic along the failover path.  Every decision is a
     deterministic function of (params, plans): no draws, no wall clock, so
     shed counts and breaker trajectories are byte-identical at every
-    [--jobs] value.  [Engine.params.overload = None] skips the subsystem
-    entirely — reports are byte-identical to a build without it. *)
+    [--jobs] value.  [Engine.params.overload = None] runs the engine's
+    identity controller instead: every job admitted at home. *)
 
 (** How excess demand is dropped once a (shard, window) exceeds the
     capacity target. *)
@@ -68,8 +68,8 @@ val split : counts:int array -> keep:int -> int array
     [counts] pointwise, and ties break by class index.  Deterministic. *)
 
 (** One admitted slice of a (tenant, window, rank)'s jobs: how many jobs,
-    by which kernel variant, on which serving shard, under which
-    congestion multiplier.  A (window, rank) cell can hold several
+    by which kernel variant, under which serving shard's congestion
+    multiplier.  A (window, rank) cell can hold several
     segments (e.g. a half-open probe served locally plus the remainder
     failed over); replay, tracing and SLO scoring all walk segments in
     identical order. *)
@@ -82,7 +82,6 @@ type seg = {
   sg_variant : variant;
   sg_jobs : int;
   sg_mult : float;  (** the serving (shard, window)'s congestion multiplier *)
-  sg_shard : int;  (** serving shard (home shard unless failed over) *)
 }
 
 val variant_to_string : variant -> string

@@ -1,7 +1,7 @@
 (* SLO evaluation over Engine.result: derive per-window {total; breaching}
-   counts from the engine's per-(tenant, window, rank) job ledger and the
-   compiled kernels, then hand them to Flo_obs.Slo.  Nothing here touches a
-   clock or a PRNG — the verdicts inherit the engine's replay-exactness. *)
+   counts from the engine's served cells and the compiled kernels, then
+   hand them to Flo_obs.Slo.  Nothing here touches a clock or a PRNG — the
+   verdicts inherit the engine's replay-exactness. *)
 
 module Slo = Flo_obs.Slo
 
@@ -44,88 +44,32 @@ let breaching_of_kernel (k : Kernel.t) ~jobs ~multiplier ~threshold_us =
     !breaching
   end
 
-(* Under overload control the SLO scores the *accepted* cohort: the walk
-   follows the admission ledger's segments — each slice under its serving
-   multiplier and kernel variant — and shed requests never enter [total]
-   (rejecting a request is not the same failure as serving it late; the
-   shed volume is reported separately by the traffic/overload reports). *)
-let samples_of_tenant_overload spec (r : Engine.result)
-    (ol : Engine.overload_stats) tenant =
-  let s = r.Engine.tenants_stats.(tenant) in
-  let kernel_of variant rank =
-    let pick arr =
-      let kd, ki = arr.(rank) in
-      if s.Engine.optimized then ki else kd
-    in
-    match (variant : Overload.variant) with
-    | Overload.Normal -> pick r.Engine.kernels
-    | Overload.Fail_fast_serve ->
-      (match ol.Engine.ol_ff_kernels with
-      | Some a -> pick a
-      | None -> pick r.Engine.kernels)
-    | Overload.Browned ->
-      (match ol.Engine.ol_bw_kernels with
-      | Some a -> pick a
-      | None -> pick r.Engine.kernels)
-  in
-  Array.map
-    (fun rank_segs ->
-      let total = ref 0 in
-      let breaching = ref 0 in
-      Array.iteri
-        (fun _rank segs ->
-          List.iter
-            (fun (sg : Overload.seg) ->
-              let k = kernel_of sg.Overload.sg_variant _rank in
-              let jobs = sg.Overload.sg_jobs in
-              match spec.Slo.objective with
-              | Slo.Latency { threshold_us; _ } ->
-                total := !total + (jobs * k.Kernel.requests_per_job);
-                breaching :=
-                  !breaching
-                  + breaching_of_kernel k ~jobs ~multiplier:sg.Overload.sg_mult
-                      ~threshold_us
-              | Slo.Error_rate _ ->
-                total := !total + (jobs * k.Kernel.accesses_per_job);
-                breaching := !breaching + (jobs * k.Kernel.errors_per_job))
-            segs)
-        rank_segs;
-      { Slo.total = !total; breaching = min !breaching !total })
-    ol.Engine.ol_tenant_segs.(tenant)
-
+(* The walk is the engine's own cell walk, so the SLO scores exactly the
+   requests the replay served, each under its serving multiplier and
+   kernel.  Under overload control that is the *accepted* cohort: shed
+   requests never enter [total] (rejecting a request is not the same
+   failure as serving it late; the shed volume is reported separately by
+   the traffic/overload reports).  Error rate is per element access — the
+   layout-invariant request count — so a layout that avoids disk reads
+   avoids their failures too; a retried request can fail more than once,
+   so breaches are capped at the access count. *)
 let samples_of_tenant spec (r : Engine.result) tenant =
-  match r.Engine.overload with
-  | Some ol -> samples_of_tenant_overload spec r ol tenant
-  | None ->
-  let s = r.Engine.tenants_stats.(tenant) in
-  let shard = r.Engine.shards.(s.Engine.shard) in
-  let kernels = r.Engine.kernels in
-  Array.mapi
-    (fun w rank_jobs ->
-      let multiplier = shard.Engine.window_multipliers.(w) in
-      let total = ref 0 in
-      let breaching = ref 0 in
-      Array.iteri
-        (fun rank jobs ->
-          if jobs > 0 then begin
-            let kd, ki = kernels.(rank) in
-            let k = if s.Engine.optimized then ki else kd in
-            match spec.Slo.objective with
-            | Slo.Latency { threshold_us; _ } ->
-              total := !total + (jobs * k.Kernel.requests_per_job);
-              breaching :=
-                !breaching + breaching_of_kernel k ~jobs ~multiplier ~threshold_us
-            | Slo.Error_rate _ ->
-              (* error rate is per element access — the layout-invariant
-                 request count — so a layout that avoids disk reads avoids
-                 their failures too.  A retried request can fail more than
-                 once, so cap at the access count below. *)
-              total := !total + (jobs * k.Kernel.accesses_per_job);
-              breaching := !breaching + (jobs * k.Kernel.errors_per_job)
-          end)
-        rank_jobs;
-      { Slo.total = !total; breaching = min !breaching !total })
-    s.Engine.window_rank_jobs
+  let windows = r.Engine.params.Engine.windows in
+  let total = Array.make windows 0 in
+  let breaching = Array.make windows 0 in
+  Engine.cells r tenant
+    ~served:(fun w _ k jobs multiplier ->
+      match spec.Slo.objective with
+      | Slo.Latency { threshold_us; _ } ->
+        total.(w) <- total.(w) + (jobs * k.Kernel.requests_per_job);
+        breaching.(w) <-
+          breaching.(w) + breaching_of_kernel k ~jobs ~multiplier ~threshold_us
+      | Slo.Error_rate _ ->
+        total.(w) <- total.(w) + (jobs * k.Kernel.accesses_per_job);
+        breaching.(w) <- breaching.(w) + (jobs * k.Kernel.errors_per_job))
+    ~shed:(fun _ _ _ _ -> ());
+  Array.init windows (fun w ->
+      { Slo.total = total.(w); breaching = min breaching.(w) total.(w) })
 
 let sum_samples windows per_tenant =
   let acc = Array.make windows { Slo.total = 0; breaching = 0 } in

@@ -25,13 +25,14 @@ type t = {
 }
 
 val samples_of_tenant : Flo_obs.Slo.spec -> Engine.result -> int -> Flo_obs.Slo.sample array
-(** One sample per window for one tenant, derived from its per-(window,
-    rank) job counts, the compiled kernels, and its shard's per-window
-    congestion multipliers.  For a latency objective, a request breaches
-    when its class latency times the window's multiplier exceeds the
-    threshold (the same apportioned counts the replay histograms use); for
-    an error objective, breaches are the kernel's failed-read attempts per
-    job, capped at the window's request count. *)
+(** One sample per window for one tenant, summed over the cells
+    {!Engine.cells} walks — the requests the replay served, each with its
+    serving kernel and congestion multiplier; shed requests never count.
+    For a latency objective, a request breaches when its class latency
+    times the cell's multiplier exceeds the threshold (the same apportioned
+    counts the replay histograms use); for an error objective, breaches
+    are the kernel's failed-read attempts per job, capped at the window's
+    access count. *)
 
 val evaluate :
   ?fast_span:int -> ?slow_span:int -> ?metrics:Flo_obs.Metrics.t ->

@@ -1,11 +1,12 @@
 module Trace = Flo_obs.Trace
 
-(* Sampling decisions replay the engine's exact batching: the tracer walks
-   the same (window, rank, class) apportioned counts in the same order as
-   Engine.replay_tenant, numbering requests 0.. per tenant, and never touches
-   the histogram counts — it only *observes* the replay and attaches
+(* Sampling decisions replay the engine's exact batching: the tracer
+   consumes the same cell walk as the engine's replay, apportions each cell
+   the same way, numbers requests 0.. per tenant, and never touches the
+   histogram counts — it only *observes* the replay and attaches
    exemplars.  Determinism falls out of the walk being a pure function of
-   (params, plan): no draws, no wall clock, no shard interleaving. *)
+   (params, controller decisions): no draws, no wall clock, no shard
+   interleaving. *)
 
 type params = {
   sample_rate : int;
@@ -21,11 +22,15 @@ let validate t =
   else if t.exemplar_cap < 1 then Error "trace exemplar cap must be positive"
   else Ok ()
 
-(* one (window, rank, class) group of a tenant's replay *)
+type cells =
+  served:(int -> int -> Kernel.t -> int -> float -> unit) ->
+  shed:(int -> int -> Kernel.t -> int -> unit) ->
+  unit
+
+(* one (window, class) group of a tenant's served cells *)
 type group = {
   g_window : int;
-  g_rank : int;
-  g_cls : int;
+  g_app : string;
   g_count : int;
   g_first_seq : int;
   g_latency_us : float;  (** the exact float the replay recorded *)
@@ -33,47 +38,45 @@ type group = {
   g_profile : Kernel.profile option;
 }
 
-let groups_of ~optimized ~multipliers ~kernels ~window_jobs =
+(* Sequence numbering runs over the offered request space: a cell's served
+   requests consume sequence numbers first, then its shed requests — so
+   head ids (2*seq) and group ids (2*first_seq + 1) can never collide
+   between served and shed traces. *)
+let groups_of (cells : cells) =
   let seq = ref 0 in
   let acc = ref [] in
-  Array.iteri
-    (fun w rank_jobs ->
-      let multiplier = multipliers.(w) in
+  let shed_acc = ref [] in
+  cells
+    ~served:(fun w _ k jobs multiplier ->
       Array.iteri
-        (fun r j ->
-          if j > 0 then begin
-            let kd, ki = kernels.(r) in
-            let k = if optimized then ki else kd in
-            let n = j * k.Kernel.requests_per_job in
-            let counts = Kernel.apportion k ~requests:n in
-            Array.iteri
-              (fun i cnt ->
-                if cnt > 0 then begin
-                  let class_us = k.Kernel.classes.(i).Kernel.latency_us in
-                  acc :=
-                    {
-                      g_window = w;
-                      g_rank = r;
-                      g_cls = i;
-                      g_count = cnt;
-                      g_first_seq = !seq;
-                      (* the same expression replay_tenant feeds add_many,
-                         so exemplar values match the bucketed ones exactly *)
-                      g_latency_us = class_us *. multiplier;
-                      g_class_us = class_us;
-                      g_profile =
-                        (if i < Array.length k.Kernel.profiles then
-                           k.Kernel.profiles.(i)
-                         else None);
-                    }
-                    :: !acc;
-                  seq := !seq + cnt
-                end)
-              counts
+        (fun i cnt ->
+          if cnt > 0 then begin
+            let class_us = k.Kernel.classes.(i).Kernel.latency_us in
+            acc :=
+              {
+                g_window = w;
+                g_app = k.Kernel.app;
+                g_count = cnt;
+                g_first_seq = !seq;
+                (* the same expression the replay feeds add_many, so
+                   exemplar values match the bucketed ones exactly *)
+                g_latency_us = class_us *. multiplier;
+                g_class_us = class_us;
+                g_profile =
+                  (if i < Array.length k.Kernel.profiles then k.Kernel.profiles.(i)
+                   else None);
+              }
+              :: !acc;
+            seq := !seq + cnt
           end)
-        rank_jobs)
-    window_jobs;
-  List.rev !acc
+        (Kernel.apportion k ~requests:(jobs * k.Kernel.requests_per_job)))
+    ~shed:(fun w _ k jobs ->
+      let n = jobs * k.Kernel.requests_per_job in
+      if n > 0 then begin
+        shed_acc := (w, k.Kernel.app, n, !seq) :: !shed_acc;
+        seq := !seq + n
+      end);
+  (List.rev !acc, List.rev !shed_acc)
 
 let has_step name (p : Kernel.profile) =
   List.exists (fun s -> s.Kernel.step_name = name) p.Kernel.rep_steps
@@ -124,10 +127,8 @@ let span_tree ~win_len_us g =
   in
   Trace.span ~children ~name:"request" ~start_us:t0 ~dur_us:g.g_latency_us ()
 
-(* head/tail sampling over a prepared group list — shared by the plain and
-   overload walks, which differ only in how groups are enumerated *)
-let emit_groups ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~app_of ~hist
-    groups =
+let trace_tenant ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~hist cells =
+  let groups, shed_groups = groups_of cells in
   (* the max-latency group per window, first on ties — replay order is
      deterministic, so so is this *)
   let window_max = Array.make windows (-1) in
@@ -142,9 +143,9 @@ let emit_groups ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~app_of ~hi
   let traces_rev = ref [] in
   let emit ~trace_id ~count ~reasons g =
     let trace =
-      Trace.make ~trace_id ~tenant ~app:(app_of g)
-        ~window:g.g_window ~shard ~outcome:(outcome_of g.g_profile)
-        ~latency_us:g.g_latency_us ~count ~reasons ~root:(span_tree ~win_len_us g)
+      Trace.make ~trace_id ~tenant ~app:g.g_app ~window:g.g_window ~shard
+        ~outcome:(outcome_of g.g_profile) ~latency_us:g.g_latency_us ~count ~reasons
+        ~root:(span_tree ~win_len_us g)
     in
     Flo_obs.Histogram.add_exemplar ~cap:t.exemplar_cap hist ~value:g.g_latency_us
       ~trace_id;
@@ -175,107 +176,13 @@ let emit_groups ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~app_of ~hi
         q := !q + t.sample_rate
       done)
     groups;
-  List.rev !traces_rev
-
-let trace_tenant ~t ~seed ~stream ~tenant ~shard ~optimized ~win_len_us ~multipliers
-    ~kernels ~window_jobs ~hist =
-  let groups = groups_of ~optimized ~multipliers ~kernels ~window_jobs in
-  let app_of g =
-    let kd, ki = kernels.(g.g_rank) in
-    (if optimized then ki else kd).Kernel.app
-  in
-  emit_groups ~t ~seed ~stream ~tenant ~shard ~win_len_us
-    ~windows:(Array.length multipliers) ~app_of ~hist groups
-
-(* The overload walk enumerates a tenant's *admitted segments* instead of
-   raw (window, rank) job counts, each under its serving multiplier and
-   variant kernel.  Sequence numbering runs over the *offered* request
-   space: a (window, rank)'s served segments consume sequence numbers
-   first, then its shed requests — so head ids (2*seq) and group ids
-   (2*first_seq + 1) can never collide between served and shed traces. *)
-let overload_groups ~optimized ~kernels ~ff_kernels ~bw_kernels ~segs ~shed =
-  let kernel_of variant r =
-    let pick arr =
-      let kd, ki = arr.(r) in
-      if optimized then ki else kd
-    in
-    match (variant : Overload.variant) with
-    | Overload.Normal -> pick kernels
-    | Overload.Fail_fast_serve ->
-      (match ff_kernels with Some a -> pick a | None -> pick kernels)
-    | Overload.Browned ->
-      (match bw_kernels with Some a -> pick a | None -> pick kernels)
-  in
-  let seq = ref 0 in
-  let acc = ref [] in
-  let shed_acc = ref [] in
-  Array.iteri
-    (fun w rrow ->
-      Array.iteri
-        (fun r segl ->
-          List.iter
-            (fun (sg : Overload.seg) ->
-              let k = kernel_of sg.Overload.sg_variant r in
-              let n = sg.Overload.sg_jobs * k.Kernel.requests_per_job in
-              let counts = Kernel.apportion k ~requests:n in
-              Array.iteri
-                (fun i cnt ->
-                  if cnt > 0 then begin
-                    let class_us = k.Kernel.classes.(i).Kernel.latency_us in
-                    acc :=
-                      {
-                        g_window = w;
-                        g_rank = r;
-                        g_cls = i;
-                        g_count = cnt;
-                        g_first_seq = !seq;
-                        g_latency_us = class_us *. sg.Overload.sg_mult;
-                        g_class_us = class_us;
-                        g_profile =
-                          (if i < Array.length k.Kernel.profiles then
-                             k.Kernel.profiles.(i)
-                           else None);
-                      }
-                      :: !acc;
-                    seq := !seq + cnt
-                  end)
-                counts)
-            segl;
-          let sj = shed.(w).(r) in
-          if sj > 0 then begin
-            let k = kernel_of Overload.Normal r in
-            let n = sj * k.Kernel.requests_per_job in
-            if n > 0 then begin
-              shed_acc := (w, r, n, !seq) :: !shed_acc;
-              seq := !seq + n
-            end
-          end)
-        rrow)
-    segs;
-  (List.rev !acc, List.rev !shed_acc)
-
-let trace_tenant_overload ~t ~seed ~stream ~tenant ~shard ~optimized ~win_len_us
-    ~kernels ~ff_kernels ~bw_kernels ~segs ~shed ~hist =
-  let groups, shed_groups =
-    overload_groups ~optimized ~kernels ~ff_kernels ~bw_kernels ~segs ~shed
-  in
-  let app_of g =
-    let kd, ki = kernels.(g.g_rank) in
-    (if optimized then ki else kd).Kernel.app
-  in
-  let served =
-    emit_groups ~t ~seed ~stream ~tenant ~shard ~win_len_us
-      ~windows:(Array.length segs) ~app_of ~hist groups
-  in
-  (* one group trace per shed (window, rank): a zero-duration
-     [admission.shed] root at the window origin, standing for every request
-     the controller rejected there.  No exemplar — shed requests never
-     reach a histogram. *)
+  (* one group trace per shed cell: a zero-duration [admission.shed] root
+     at the window origin, standing for every request the controller
+     rejected there.  No exemplar — shed requests never reach a
+     histogram. *)
   let shed_traces =
     List.map
-      (fun (w, r, n, first_seq) ->
-        let kd, ki = kernels.(r) in
-        let app = (if optimized then ki else kd).Kernel.app in
+      (fun (w, app, n, first_seq) ->
         Trace.make
           ~trace_id:(Trace.mint_id ~seed ~stream ((2 * first_seq) + 1))
           ~tenant ~app ~window:w ~shard ~outcome:"shed" ~latency_us:0. ~count:n
@@ -285,4 +192,4 @@ let trace_tenant_overload ~t ~seed ~stream ~tenant ~shard ~optimized ~win_len_us
                ~start_us:(float_of_int w *. win_len_us) ~dur_us:0. ()))
       shed_groups
   in
-  served @ shed_traces
+  List.rev_append !traces_rev shed_traces

@@ -32,48 +32,37 @@ val default : params
 
 val validate : params -> (unit, string) result
 
+type cells =
+  served:(int -> int -> Kernel.t -> int -> float -> unit) ->
+  shed:(int -> int -> Kernel.t -> int -> unit) ->
+  unit
+(** One tenant's served cells, as {!Engine.cells} walks them: [served w r k
+    jobs multiplier] for every admitted slice of (window [w], rank [r]),
+    served by kernel [k] under congestion [multiplier], and [shed w r k jobs]
+    after a cell's slices wherever the admission controller shed jobs ([k]
+    is the normal kernel).  Cells come in replay order, (window, rank)
+    ascending. *)
+
 val trace_tenant :
   t:params ->
   seed:int ->
   stream:int ->
   tenant:int ->
   shard:int ->
-  optimized:bool ->
   win_len_us:float ->
-  multipliers:float array ->
-  kernels:(Kernel.t * Kernel.t) array ->
-  window_jobs:int array array ->
+  windows:int ->
   hist:Flo_obs.Histogram.t ->
+  cells ->
   Flo_obs.Trace.t list
-(** Sample one tenant's replay.  [window_jobs], [multipliers] and [kernels]
-    must be exactly what {!Engine}'s replay consumed, and [hist] the
-    tenant's latency histogram: each emitted trace's latency is the same
-    float expression the replay recorded, so the exemplar attached here
-    lands in the bucket that counted the request.  Traces come back in
-    replay order (window, rank, class ascending).  Pure observation: [hist]
-    gains exemplars, never observations. *)
-
-val trace_tenant_overload :
-  t:params ->
-  seed:int ->
-  stream:int ->
-  tenant:int ->
-  shard:int ->
-  optimized:bool ->
-  win_len_us:float ->
-  kernels:(Kernel.t * Kernel.t) array ->
-  ff_kernels:(Kernel.t * Kernel.t) array option ->
-  bw_kernels:(Kernel.t * Kernel.t) array option ->
-  segs:Overload.seg list array array ->
-  shed:int array array ->
-  hist:Flo_obs.Histogram.t ->
-  Flo_obs.Trace.t list
-(** {!trace_tenant} for a tenant simulated under overload control: the walk
-    enumerates the tenant's admitted {!Overload.seg}s (windows x ranks),
-    each under its serving multiplier and kernel variant, then emits one
-    group trace per shed (window, rank) — outcome ["shed"], reason
-    {!Flo_obs.Trace.Shed}, a zero-duration [admission.shed] root span at
-    the window origin, [count] = the rejected requests.  Sequence numbers
-    cover the offered request space (served segments first, then shed), so
-    trace ids never collide with served ones.  Shed traces attach no
-    exemplar — shed requests never reach a histogram. *)
+(** Sample one tenant's replay.  [cells] must be the walk {!Engine}'s replay
+    consumed and [hist] the tenant's latency histogram: each emitted
+    trace's latency is the same float expression the replay recorded, so
+    the exemplar attached here lands in the bucket that counted the
+    request.  Served traces come back in replay order (window, rank, class
+    ascending), then one group trace per shed cell — outcome ["shed"],
+    reason {!Flo_obs.Trace.Shed}, a zero-duration [admission.shed] root span
+    at the window origin, [count] = the rejected requests.  Sequence
+    numbers cover the offered request space (a cell's served requests
+    first, then its shed ones), so trace ids never collide.  Pure
+    observation: [hist] gains exemplars, never observations; shed traces
+    attach none. *)

@@ -340,18 +340,169 @@ let prop_overload_jobs_equivalence =
       let run jobs = render (Engine.simulate ~jobs ~config:small_config p) in
       run 1 = run test_jobs)
 
-(* shed=off with no breaker is the plain engine: the result must be
-   byte-identical to a run that never mentions overload at all *)
+(* ---- one set of served cells ------------------------------------------- *)
+
+let golden_faults spec =
+  match Flo_faults.Fault_plan.of_string spec with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "fault spec: %s" e
+
+(* replay, SLO scoring and the tracer all consume the engine's cell walk:
+   per tenant, the latency-SLO totals summed over windows and (at sample
+   rate 1) the head traces both count exactly the requests the replay
+   served, with controls off and on *)
+let prop_served_cells_agree =
+  QCheck.Test.make ~count:12
+    ~name:"pipeline: replay, SLO and tracer see the same served cells"
+    QCheck.(
+      make
+        ~print:(fun (tenants, seed, windows, retrying, controls) ->
+          Printf.sprintf "tenants=%d seed=%d windows=%d retrying=%b controls=%s"
+            tenants seed windows retrying
+            (match controls with
+            | None -> "off"
+            | Some (policy, capacity, breaker) ->
+              Printf.sprintf "%s capacity=%g breaker=%b"
+                (Option.fold ~none:"off" ~some:Overload.policy_to_string policy)
+                capacity breaker))
+        Gen.(
+          let* tenants = int_range 1 4 in
+          let* seed = small_nat in
+          let* windows = int_range 1 4 in
+          let* retrying = bool in
+          let* controls =
+            opt
+              (let* policy =
+                 oneofl
+                   [ Some Overload.Fail_fast; Some Overload.Priority;
+                     Some Overload.Brownout; None ]
+               in
+               let* capacity = oneofl [ 1.; 8.; 100. ] in
+               let* breaker = bool in
+               return (policy, capacity, if policy = None then true else breaker))
+          in
+          return (tenants, seed, windows, retrying, controls)))
+    (fun (tenants, seed, windows, retrying, controls) ->
+      let p =
+        {
+          (Engine.default_params ~mix:toy_mix) with
+          Engine.tenants;
+          seed;
+          windows;
+          duration_s = 1.;
+          rate = 1.;
+          sample = 1;
+          faults =
+            golden_faults
+              (if retrying then "read-error:rate=0.2;retry:max=2,base=300"
+               else "read-error:rate=0.1,node=0");
+          trace = Some { Tracer.default with Tracer.sample_rate = 1 };
+          overload =
+            Option.map
+              (fun (shed, capacity, breaker) ->
+                { Overload.default with
+                  Overload.shed;
+                  capacity;
+                  breaker = (if breaker then Some Breaker.default else None) })
+              controls;
+        }
+      in
+      let r = Engine.simulate ~jobs:test_jobs ~config:small_config p in
+      let latency = Result.get_ok (Flo_obs.Slo.parse "p99<1s@99") in
+      Array.for_all
+        (fun (s : Engine.tenant_stats) ->
+          let slo_total =
+            Array.fold_left
+              (fun a (x : Flo_obs.Slo.sample) -> a + x.Flo_obs.Slo.total)
+              0
+              (Slo_eval.samples_of_tenant latency r s.Engine.tenant)
+          in
+          let head =
+            List.fold_left
+              (fun a (t : Flo_obs.Trace.t) ->
+                if t.Flo_obs.Trace.tenant = s.Engine.tenant
+                   && List.mem Flo_obs.Trace.Head t.Flo_obs.Trace.reasons
+                then a + t.Flo_obs.Trace.count
+                else a)
+              0 r.Engine.traces
+          in
+          slo_total = s.Engine.requests && head = s.Engine.requests)
+        r.Engine.tenants_stats)
+
+(* ---- golden pipeline outputs ------------------------------------------- *)
+
+(* Both goldens pin every view of one run — the traffic report, both SLO
+   objectives, and an MD5 digest of the sampled traces — so any change to
+   what the replay, the SLO walk or the tracer sees shows up as a diff.
+   Regenerate with:
+   FLOPT_GOLDEN_UPDATE=$PWD/test dune exec test/main.exe -- test overload -q *)
+let golden_render (r : Engine.result) =
+  let slo spec =
+    match Flo_obs.Slo.parse spec with
+    | Ok s -> Slo_report.summary r (Slo_eval.evaluate s r)
+    | Error e -> Alcotest.failf "slo spec %S: %s" spec e
+  in
+  let traces = List.map Flo_obs.Trace.to_json r.Engine.traces in
+  String.concat "\n"
+    [
+      render r;
+      slo "p99<1s@90";
+      slo "err<1%@90";
+      Printf.sprintf "traces=%d md5=%s" (List.length traces)
+        (Digest.to_hex (Digest.string (String.concat "\n" traces)));
+      "";
+    ]
+
+let check_golden path r =
+  let actual = golden_render r in
+  match Sys.getenv_opt "FLOPT_GOLDEN_UPDATE" with
+  | Some dir ->
+    let oc = open_out_bin (Filename.concat dir path) in
+    output_string oc actual;
+    close_out oc
+  | None ->
+    let ic = open_in_bin path in
+    let expected = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    check_str "matches golden file" expected actual
+
+let golden_trace = Some { Tracer.default with Tracer.sample_rate = 64; breach_us = 2e6 }
+
+(* controls off: several windows, a retrying fault plan and tracing on *)
 let test_controls_off_identity () =
-  let plain =
-    render (Engine.simulate ~jobs:1 ~config:small_config (storm_params 2.))
+  let p =
+    {
+      (storm_params 1.) with
+      Engine.windows = 5;
+      faults = golden_faults "read-error:rate=0.1;retry:max=2,base=20000";
+      trace = golden_trace;
+    }
   in
-  let off =
-    render
-      (Engine.simulate ~jobs:1 ~config:small_config
-         { (storm_params 2.) with Engine.overload = None })
+  check_golden "golden_traffic_plain.expected"
+    (Engine.simulate ~jobs:test_jobs ~config:small_config p)
+
+(* priority shedding, a breaker on node 0 and retry suppression together *)
+let test_controls_on_golden () =
+  let p =
+    {
+      (overload_params ~shed:(Some Overload.Priority) ~capacity:100.
+         ~breaker:{ spec with Breaker.node = Some 0 } ())
+      with
+      Engine.windows = 6;
+      faults = golden_faults "read-error:rate=0.3,node=0;retry:max=3,base=20000";
+      trace = golden_trace;
+    }
   in
-  check_str "overload-off renders byte-identical" plain off
+  let r = Engine.simulate ~jobs:test_jobs ~config:small_config p in
+  let ol = Option.get r.Engine.overload in
+  checkb "retry suppression fired" true (ol.Engine.ol_retry_suppressed_windows > 0);
+  checkb "something was shed" true (ol.Engine.ol_shed_requests > 0);
+  checkb "the breaker opened" true
+    (Array.exists
+       (Array.exists (fun c ->
+            match c.Engine.aw_breaker with Some (Breaker.Open _) -> true | _ -> false))
+       ol.Engine.ol_admissions);
+  check_golden "golden_traffic_overload.expected" r
 
 let suite =
   [
@@ -367,6 +518,8 @@ let suite =
     ("breaker storm fails over", `Quick, test_breaker_storm_fails_over);
     ("seed determinism", `Quick, test_overload_seed_deterministic);
     ("controls-off identity", `Quick, test_controls_off_identity);
+    ("controls-on golden", `Quick, test_controls_on_golden);
     QCheck_alcotest.to_alcotest prop_split_laws;
     QCheck_alcotest.to_alcotest prop_overload_jobs_equivalence;
+    QCheck_alcotest.to_alcotest prop_served_cells_agree;
   ]
