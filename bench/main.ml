@@ -995,19 +995,8 @@ let history_mode args =
       exit 2
   in
   Bench_history.save out history;
-  (* page gets the same side-file + rename discipline as the history *)
-  let tmp = page ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (Bench_history.render_page history))
-   with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp page;
+  Flo_obs.Json.write_atomic page (fun oc ->
+      output_string oc (Bench_history.render_page history));
   Printf.printf "recorded commit %s (%d points) -> %s (%d rows), trend page %s\n"
     commit (List.length points) out
     (List.length history.Bench_history.rows)

@@ -98,6 +98,14 @@ let resolve_jobs = function
     prerr_endline "flopt: --jobs must be a positive integer";
     exit 2
 
+(* every file output but the --trace event stream goes through the one
+   atomic writer; an unwritable path is a usage error, not a crash *)
+let write_file path f =
+  try Flo_obs.Json.write_atomic path f
+  with Sys_error msg ->
+    Printf.eprintf "flopt: cannot write %s: %s\n" path msg;
+    exit 2
+
 (* run with the observability layer attached per the --trace/--metrics
    flags; the trace file is flushed and closed even if the run raises
    (Sink.with_jsonl), so a crashed simulation still leaves a parseable
@@ -330,15 +338,8 @@ let analyze_cmd =
       Report.print_analysis ~max_matrix a;
       Option.iter
         (fun out ->
-          let oc =
-            try open_out out
-            with Sys_error msg ->
-              Printf.eprintf "flopt: cannot write %s: %s\n" out msg;
-              exit 2
-          in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> Flo_analysis.Perfetto.write oc (Flo_analysis.Analyzer.events a));
+          write_file out (fun oc ->
+              Flo_analysis.Perfetto.write oc (Flo_analysis.Analyzer.events a));
           Printf.printf "perfetto trace written to %s (open in ui.perfetto.dev)\n" out)
         perfetto
   in
@@ -383,24 +384,25 @@ let trace_csv_cmd =
       | Inter -> Experiment.inter_layouts config app
     in
     let topo = config.Config.topology in
-    let oc = if out = "-" then stdout else open_out out in
-    Printf.fprintf oc "nest,thread,seq,file,block\n";
-    List.iteri
-      (fun i nest ->
-        let streams =
-          Tracegen.nest_streams ~layouts ~block_elems:topo.Flo_storage.Topology.block_elems
-            ~threads:(Flo_storage.Topology.threads topo) ~blocks_per_thread:1 nest
-        in
-        Array.iteri
-          (fun t stream ->
-            Array.iteri
-              (fun seq b ->
-                Printf.fprintf oc "%d,%d,%d,%d,%d\n" i t seq (Flo_storage.Block.file b)
-                  (Flo_storage.Block.index b))
-              stream)
-          streams)
-      app.App.program.Flo_poly.Program.nests;
-    if out <> "-" then close_out oc
+    let csv oc =
+      Printf.fprintf oc "nest,thread,seq,file,block\n";
+      List.iteri
+        (fun i nest ->
+          let streams =
+            Tracegen.nest_streams ~layouts ~block_elems:topo.Flo_storage.Topology.block_elems
+              ~threads:(Flo_storage.Topology.threads topo) ~blocks_per_thread:1 nest
+          in
+          Array.iteri
+            (fun t stream ->
+              Array.iteri
+                (fun seq b ->
+                  Printf.fprintf oc "%d,%d,%d,%d,%d\n" i t seq (Flo_storage.Block.file b)
+                    (Flo_storage.Block.index b))
+                stream)
+            streams)
+        app.App.program.Flo_poly.Program.nests
+    in
+    if out = "-" then csv stdout else write_file out csv
   in
   Cmd.v (Cmd.info "trace-csv" ~doc) Term.(const run $ app_arg $ layout_arg $ out_arg)
 
@@ -495,10 +497,7 @@ let trace_cmd =
     let matching = List.filter keep all in
     match perfetto with
     | Some out ->
-      let oc = open_out out in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Flo_analysis.Perfetto.write_traces oc matching);
+      write_file out (fun oc -> Flo_analysis.Perfetto.write_traces oc matching);
       Printf.printf "perfetto export of %d trace(s) written to %s (open in ui.perfetto.dev)\n"
         (List.length matching) out
     | None ->
@@ -964,19 +963,13 @@ module Traffic_args = struct
         exit 2);
       Some o
 
-  (* atomic like Sink.with_jsonl: readers never observe a half-written file *)
   let write_traces path traces =
-    let tmp = path ^ ".part" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    write_file path (fun oc ->
         List.iter
           (fun t ->
             output_string oc (Flo_obs.Trace.to_json t);
             output_char oc '\n')
           traces);
-    Sys.rename tmp path;
     Printf.printf "%d sampled trace(s) written to %s (render with `flopt trace %s`)\n"
       (List.length traces) path path
 

@@ -40,20 +40,6 @@ type request = {
 let cache_label (layer : Event.layer) node =
   Printf.sprintf "%s/%d" (Event.layer_to_string layer) node
 
-(* forward-compat [Event.Other] names come off the wire unvalidated *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char b '\\';
-        Buffer.add_char b c
-      | '\x00' .. '\x1f' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit_json buf first fmt =
   if !first then first := false else Buffer.add_char buf ',';
   Buffer.add_string buf "\n  ";
@@ -161,7 +147,9 @@ let to_buffer buf events =
       | Event.Prefetch -> instant e "prefetch"
       | Event.Retry -> instant e "retry"
       | Event.Timeout -> instant e "timeout"
-      | Event.Other name -> instant e (escape name)
+      | Event.Other name ->
+        (* forward-compat names come off the wire unvalidated *)
+        instant e (Json.escape name)
       | Event.Miss -> ())
     events;
   Hashtbl.fold (fun thread r acc -> (thread, r) :: acc) open_requests []
@@ -197,7 +185,7 @@ let traces_to_buffer buf traces =
       emit_json buf first
         {|{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":"%s tenant=%d %s"}}|}
         tid (Trace.id_to_string t.Trace.trace_id) t.Trace.tenant
-        (escape t.Trace.outcome);
+        (Json.escape t.Trace.outcome);
       let next = ref 0 in
       let rec go (s : Trace.span) =
         let k = !next in
@@ -206,7 +194,7 @@ let traces_to_buffer buf traces =
           {|{"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"name":"%s","cat":"%s","args":{"trace_id":"%s","span_id":"%s","tenant":%d,"window":%d,"shard":%d,"count":%d}}|}
           tid s.Trace.start_us
           (Float.max s.Trace.dur_us 0.001)
-          (escape s.Trace.name) (escape t.Trace.outcome)
+          (Json.escape s.Trace.name) (Json.escape t.Trace.outcome)
           (Trace.id_to_string t.Trace.trace_id)
           (Trace.id_to_string (Trace.span_id ~trace_id:t.Trace.trace_id k))
           t.Trace.tenant t.Trace.window t.Trace.shard t.Trace.count;

@@ -1,9 +1,8 @@
 (* Per-commit benchmark trajectory: append-only history rows distilled from
-   bench manifests, plus a static HTML/SVG trend page.  Reuses
-   Bench_schema.Json for parsing/printing and mirrors its save discipline
-   (side file + fsync + rename). *)
+   bench manifests, plus a static HTML/SVG trend page.  Parsed, printed and
+   saved with Flo_obs.Json, like the manifests. *)
 
-module Json = Bench_schema.Json
+module Json = Flo_obs.Json
 
 let schema_name = "flopt-bench-history"
 let schema_version = 1
@@ -128,52 +127,26 @@ let to_json t =
     ]
 
 let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let str = function Json.Str s -> Ok s | _ -> Error "expected a string" in
-  let num = function Json.Num f -> Ok f | _ -> Error "expected a number" in
-  let field obj name conv =
-    match Json.member name obj with
-    | Some v -> conv v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let list_of name conv obj =
-    match Json.member name obj with
-    | Some (Json.Arr items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* v = conv item in
-          Ok (v :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error (Printf.sprintf "missing list %S" name)
-  in
-  let* schema = field j "schema" str in
-  let* () =
-    if schema = schema_name then Ok ()
-    else Error (Printf.sprintf "not a %s file (schema %S)" schema_name schema)
-  in
-  let* version = Result.map int_of_float (field j "version" num) in
-  let point item =
-    let* name = field item "name" str in
-    let* value = field item "value" num in
-    let* unit_ = field item "unit" str in
-    Ok { name; value; unit_ }
-  in
-  let row item =
-    let* commit = field item "commit" str in
-    let* points = list_of "points" point item in
-    Ok { commit; points }
-  in
-  let* rows = list_of "rows" row j in
-  let t = { version; rows } in
-  let* () = validate t in
-  Ok t
-
-let parse_string contents =
-  match Json.parse contents with
+  match
+    let open Json in
+    let schema = field "schema" str j in
+    if schema <> schema_name then fail "not a %s file (schema %S)" schema_name schema;
+    let point p =
+      {
+        name = field "name" str p;
+        value = field "value" num p;
+        unit_ = field "unit" str p;
+      }
+    in
+    let row r =
+      { commit = field "commit" str r; points = field "points" (list point) r }
+    in
+    { version = field "version" int j; rows = field "rows" (list row) j }
+  with
+  | t -> Result.map (fun () -> t) (validate t)
   | exception Json.Parse msg -> Error msg
-  | j -> of_json j
+
+let parse_string contents = Result.join (Json.decode of_json contents)
 
 let load path =
   match
@@ -188,26 +161,10 @@ let load path =
     | Ok t -> Ok t
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
-(* same discipline as Bench_schema.save: an interrupted save can never
-   truncate the history a CI job is appending to *)
 let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc (Json.to_string (to_json t));
-         output_char oc '\n';
-         flush oc;
-         try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ())
-   with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
+  Json.write_atomic path (fun oc ->
+      output_string oc (Json.to_string (to_json t));
+      output_char oc '\n')
 
 (* -- manifest distillation ----------------------------------------------- *)
 

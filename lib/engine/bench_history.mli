@@ -50,8 +50,8 @@ val validate : t -> (unit, string) result
 (** Supported version, valid commit ids, no duplicate commits, rows
     well-formed ({!upsert}'s point checks). *)
 
-val to_json : t -> Bench_schema.Json.t
-val of_json : Bench_schema.Json.t -> (t, string) result
+val to_json : t -> Flo_obs.Json.t
+val of_json : Flo_obs.Json.t -> (t, string) result
 
 val parse_string : string -> (t, string) result
 (** Parse and {!validate}.  Total: any byte string returns [Error]. *)
@@ -60,8 +60,8 @@ val load : string -> (t, string) result
 (** I/O, parse, and {!validate} errors all surface as [Error]. *)
 
 val save : string -> t -> unit
-(** Atomic and durable: side file, fsync, rename — an interrupted save
-    never truncates an existing history. *)
+(** {!Flo_obs.Json.write_atomic}: an interrupted save never truncates an
+    existing history. *)
 
 val metrics_of_manifest : Bench_schema.t -> point list
 (** The trend points a manifest yields: the geometric mean of the per-app

@@ -2,203 +2,7 @@
    numbers one `bench -- json` invocation produced, plus the diff/gating
    logic `flopt bench-diff` applies between two manifests. *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse of string
-
-  (* Deepest container nesting the parser accepts.  Real manifests nest 3
-     levels; the cap turns a hostile "[[[[..." input into a Parse error
-     instead of a stack overflow, which keeps the parser total. *)
-  let max_depth = 256
-
-  (* Recursive-descent parser over the whole (possibly multi-line) input —
-     the trace-event parser in Flo_obs.Event is single-line and flat, this
-     one handles the nested manifest. *)
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let expect c =
-      skip_ws ();
-      if peek () = Some c then incr pos
-      else fail "expected '%c' at offset %d" c !pos
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else fail "unexpected token at offset %d" !pos
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then fail "dangling escape";
-            (match s.[!pos + 1] with
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | c -> Buffer.add_char b c);
-            pos := !pos + 2;
-            go ()
-          | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number_lit () =
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value at offset %d" start;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number at offset %d" start
-    in
-    let rec value depth =
-      if depth > max_depth then fail "nesting deeper than %d at offset %d" max_depth !pos;
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (string_lit ())
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = string_lit () in
-            expect ':';
-            let v = value (depth + 1) in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              members ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}' at offset %d" !pos
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = value (depth + 1) in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              elements ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']' at offset %d" !pos
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number_lit ())
-    in
-    let v = value 0 in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage at offset %d" !pos;
-    v
-
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let num_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let to_string t =
-    let b = Buffer.create 256 in
-    let rec go = function
-      | Null -> Buffer.add_string b "null"
-      | Bool v -> Buffer.add_string b (string_of_bool v)
-      | Num f -> Buffer.add_string b (num_to_string f)
-      | Str s -> Buffer.add_string b ("\"" ^ escape s ^ "\"")
-      | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            go v)
-          items;
-        Buffer.add_char b ']'
-      | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b ("\"" ^ escape k ^ "\":");
-            go v)
-          fields;
-        Buffer.add_char b '}'
-    in
-    go t;
-    Buffer.contents b
-
-  let member name = function Obj kvs -> List.assoc_opt name kvs | _ -> None
-end
+module Json = Flo_obs.Json
 
 let schema_name = "flopt-bench"
 let schema_version = 1
@@ -286,91 +90,41 @@ let to_json t =
     ]
 
 let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let str = function Json.Str s -> Ok s | _ -> Error "expected a string" in
-  let num = function Json.Num f -> Ok f | _ -> Error "expected a number" in
-  let int j = Result.map int_of_float (num j) in
-  let boolean = function Json.Bool b -> Ok b | _ -> Error "expected a bool" in
-  let field obj name conv =
-    match Json.member name obj with
-    | Some v -> conv v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* schema = field j "schema" str in
-  let* () =
-    if schema = schema_name then Ok ()
-    else Error (Printf.sprintf "not a %s manifest (schema %S)" schema_name schema)
-  in
-  let* version = field j "version" int in
-  let* config =
-    match Json.member "config" j with
-    | Some (Json.Obj _ as c) -> Ok c
-    | _ -> Error "missing config object"
-  in
-  let* apps =
-    field config "apps" (function
-      | Json.Arr items ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* s = str item in
-            Ok (s :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-      | _ -> Error "config.apps must be a list")
-  in
-  let* sample = field config "sample" int in
-  let* block_elems = field config "block_elems" int in
-  let* threads = field config "threads" int in
-  let* metrics =
-    match Json.member "metrics" j with
-    | Some (Json.Arr items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* app = field item "app" str in
-          let* name = field item "name" str in
-          let* value = field item "value" num in
-          let* unit_ = field item "unit" str in
-          let* gated = field item "gated" boolean in
-          Ok ({ app; name; value; unit_; gated } :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error "missing metrics list"
-  in
-  let t = { version; apps; sample; block_elems; threads; metrics } in
-  let* () = validate t in
-  Ok t
+  match
+    let open Json in
+    let schema = field "schema" str j in
+    if schema <> schema_name then
+      fail "not a %s manifest (schema %S)" schema_name schema;
+    let config = field "config" Fun.id j in
+    let metric m =
+      {
+        app = field "app" str m;
+        name = field "name" str m;
+        value = field "value" num m;
+        unit_ = field "unit" str m;
+        gated = field "gated" bool m;
+      }
+    in
+    {
+      version = field "version" int j;
+      apps = field "apps" (list str) config;
+      sample = field "sample" int config;
+      block_elems = field "block_elems" int config;
+      threads = field "threads" int config;
+      metrics = field "metrics" (list metric) j;
+    }
+  with
+  | t -> Result.map (fun () -> t) (validate t)
+  | exception Json.Parse msg -> Error msg
 
-(* Atomic and durable: write a side file, fsync it, and rename it onto
-   [path] only after a successful close — an interrupted save (crash, ^C,
-   full disk, power loss) can never leave a truncated manifest where a
-   baseline used to be. *)
 let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc (Json.to_string (to_json t));
-         output_char oc '\n';
-         flush oc;
-         try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ())
-   with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
+  Json.write_atomic path (fun oc ->
+      output_string oc (Json.to_string (to_json t));
+      output_char oc '\n')
 
 (* Total: the parser's depth cap plus [of_json]'s field checks mean any
    byte string — truncated, binary, deeply nested — lands in [Error]. *)
-let parse_string contents =
-  match Json.parse contents with
-  | exception Json.Parse msg -> Error msg
-  | j -> of_json j
+let parse_string contents = Result.join (Json.decode of_json contents)
 
 let load path =
   match

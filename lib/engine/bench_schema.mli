@@ -12,36 +12,11 @@
     modeled quantity, identical on every machine), so a checked-in baseline
     stays comparable in CI.  Wall-clock measurements (bechamel) are
     recorded [gated = false] — trajectory data, never a gate.  Every
-    recorded metric is a cost: {b higher is worse}. *)
+    recorded metric is a cost: {b higher is worse}.
 
-(** Minimal JSON tree — parse, print, and probe; no external dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse of string
-
-  val parse : string -> t
-  (** Whole-input parse (nested values, multi-line).  @raise Parse on
-      malformed input, trailing garbage, or container nesting deeper than
-      {!max_depth} — the cap makes the parser total on hostile input
-      (no stack overflow on ["[[[[..."]). *)
-
-  val max_depth : int
-  (** Deepest container nesting {!parse} accepts (256). *)
-
-  val to_string : t -> string
-  (** Compact single-line rendering; integers print without a decimal
-      point.  [parse (to_string t)] is [t] up to float formatting. *)
-
-  val member : string -> t -> t option
-  (** Field lookup, [None] on non-objects. *)
-end
+    The manifest is a {!Flo_obs.Json} document: it is parsed, printed and
+    saved with that codec, so it shares its escapes, nesting cap and
+    atomic writer with every other file flopt reads or writes. *)
 
 val schema_name : string
 (** ["flopt-bench"] — the manifest's self-identification. *)
@@ -77,13 +52,16 @@ val validate : t -> (unit, string) result
     fields, no NaN values, no duplicate [(app, name)] pair.  {!load} runs
     this automatically. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Flo_obs.Json.t
+
+val of_json : Flo_obs.Json.t -> (t, string) result
+(** Decode and {!validate}; a count field ([version], [sample], ...) must
+    be an integral number. *)
 
 val save : string -> t -> unit
-(** Atomic: writes [path ^ ".tmp"] and renames it onto [path] only after a
-    successful close, so an interrupted save never leaves a truncated
-    manifest — the previous contents of [path] survive instead. *)
+(** {!Flo_obs.Json.write_atomic}: an interrupted save never leaves a
+    truncated manifest — the previous contents of [path] survive instead.
+    The file is the compact printing plus a newline. *)
 
 val parse_string : string -> (t, string) result
 (** Parse and {!validate} a manifest from a string.  Total: any byte

@@ -46,8 +46,9 @@ let layer_to_string = function L1 -> "l1" | L2 -> "l2" | Disk -> "disk"
 let to_json e =
   Printf.sprintf
     {|{"t_us":%.3f,"kind":"%s","layer":"%s","node":%d,"thread":%d,"file":%d,"block":%d,"lat_us":%.3f}|}
-    e.time_us (kind_to_string e.kind) (layer_to_string e.layer) e.node e.thread e.file
-    e.block e.latency_us
+    e.time_us
+    (Json.escape (kind_to_string e.kind))
+    (layer_to_string e.layer) e.node e.thread e.file e.block e.latency_us
 
 let kind_of_string = function
   | "access" -> Some Access
@@ -69,136 +70,31 @@ let layer_of_string = function
   | "disk" -> Some Disk
   | _ -> None
 
-exception Parse of string
-
-(* Hand-rolled parser for the flat object {!to_json} emits: string and number
-   values only, any field order, no nesting.  Avoids a JSON-library
-   dependency for the one record shape we ever read back. *)
+(* unknown kinds round-trip as opaque [Other] records: a trace written by a
+   newer emitter must not fail an older analyzer's whole load *)
 let of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-  let skip_ws () =
-    while
-      !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos else fail "expected '%c' at offset %d" c !pos
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          Buffer.add_char b line.[!pos + 1];
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number_lit () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected a number at offset %d" start;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number at offset %d" start
-  in
-  let fields = ref [] in
-  let parse () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let continue = ref true in
-      while !continue do
-        let key = string_lit () in
-        expect ':';
-        skip_ws ();
-        let value =
-          if peek () = Some '"' then `S (string_lit ()) else `N (number_lit ())
-        in
-        fields := (key, value) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> incr pos
-        | Some '}' ->
-          incr pos;
-          continue := false
-        | _ -> fail "expected ',' or '}' at offset %d" !pos
-      done
-    end;
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage at offset %d" !pos
-  in
-  let num key =
-    match List.assoc_opt key !fields with
-    | Some (`N f) -> f
-    | Some (`S _) -> fail "field %S is not a number" key
-    | None -> fail "missing field %S" key
-  in
-  let str key =
-    match List.assoc_opt key !fields with
-    | Some (`S s) -> s
-    | Some (`N _) -> fail "field %S is not a string" key
-    | None -> fail "missing field %S" key
-  in
-  let int key =
-    let f = num key in
-    let i = int_of_float f in
-    if float_of_int i <> f then fail "field %S is not an integer" key;
-    i
-  in
-  try
-    parse ();
-    let kind =
-      (* unknown kinds round-trip as opaque [Other] records: a trace written
-         by a newer emitter must not fail an older analyzer's whole load *)
-      let s = str "kind" in
-      match kind_of_string s with Some k -> k | None -> Other s
-    in
-    let layer =
-      let s = str "layer" in
-      match layer_of_string s with Some l -> l | None -> fail "unknown layer %S" s
-    in
-    Ok
+  let open Json in
+  decode
+    (fun j ->
+      let kind =
+        let s = field "kind" str j in
+        match kind_of_string s with Some k -> k | None -> Other s
+      in
+      let layer =
+        let s = field "layer" str j in
+        match layer_of_string s with Some l -> l | None -> fail "unknown layer %S" s
+      in
       {
-        time_us = num "t_us";
+        time_us = field "t_us" num j;
         kind;
         layer;
-        node = int "node";
-        thread = int "thread";
-        file = int "file";
-        block = int "block";
-        latency_us = (match List.assoc_opt "lat_us" !fields with
-                     | Some (`N f) -> f
-                     | Some (`S _) -> fail "field \"lat_us\" is not a number"
-                     | None -> 0.);
-      }
-  with Parse msg -> Error msg
+        node = field "node" int j;
+        thread = field "thread" int j;
+        file = field "file" int j;
+        block = field "block" int j;
+        latency_us = Option.value ~default:0. (field_opt "lat_us" num j);
+      })
+    line
 
 let pp ppf e =
   Format.fprintf ppf "[%10.3f] %-9s %s/%d thread=%d block=%d:%d%s" e.time_us

@@ -63,12 +63,14 @@ val layer_of_string : string -> layer option
 
 val to_json : t -> string
 (** One-line JSON object (no trailing newline) — the JSONL record format
-    documented in [docs/OBSERVABILITY.md]. *)
+    documented in [docs/OBSERVABILITY.md].  The kind name goes through
+    {!Json.escape}, so any {!Other} name round-trips. *)
 
 val of_json : string -> (t, string) result
-(** Inverse of {!to_json}: parse one JSONL trace line.  Tolerates any field
-    order and surrounding whitespace; [lat_us] defaults to [0.] when absent;
-    an unrecognized kind name becomes {!Other} rather than an error.
+(** Inverse of {!to_json}: decode one JSONL trace line with {!Json.parse}.
+    Tolerates any field order, surrounding whitespace and unknown fields;
+    [lat_us] defaults to [0.] when absent; an unrecognized kind name becomes
+    {!Other} rather than an error; integer fields must be integral.
     Timestamps round-trip at the serializer's millisecond-of-a-microsecond
     precision ([%.3f]).  Returns [Error msg] on malformed input — offline
     trace analysis ({!Flo_analysis.Analyzer.load_file}) surfaces these with

@@ -92,22 +92,9 @@ let reason_of_string = function
 
 (* wire format *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char b '\\';
-        Buffer.add_char b c
-      | '\x00' .. '\x1f' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let rec span_to_buf buf s =
   Printf.ksprintf (Buffer.add_string buf) {|{"name":"%s","t_us":%.3f,"dur_us":%.3f|}
-    (escape s.name) s.start_us s.dur_us;
+    (Json.escape s.name) s.start_us s.dur_us;
   (match s.children with
   | [] -> ()
   | children ->
@@ -124,8 +111,8 @@ let to_json t =
   let buf = Buffer.create 256 in
   Printf.ksprintf (Buffer.add_string buf)
     {|{"trace_id":"%s","tenant":%d,"app":"%s","window":%d,"shard":%d,"outcome":"%s","lat_us":%.3f,"count":%d,"reasons":[|}
-    (id_to_string t.trace_id) t.tenant (escape t.app) t.window t.shard
-    (escape t.outcome) t.latency_us t.count;
+    (id_to_string t.trace_id) t.tenant (Json.escape t.app) t.window t.shard
+    (Json.escape t.outcome) t.latency_us t.count;
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
@@ -138,212 +125,32 @@ let to_json t =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* Minimal recursive JSON reader for the nested shape {!to_json} emits:
-   objects, arrays, strings, numbers.  Depth-capped so a hostile line cannot
-   blow the stack (same defensive posture as Bench_schema's reader). *)
-
-exception Parse of string
-
-type jv = S of string | N of float | O of (string * jv) list | A of jv list
-
-let max_depth = 64
-
-let parse_value line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-  let skip_ws () =
-    while
-      !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos else fail "expected '%c' at offset %d" c !pos
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | 'u' ->
-            if !pos + 5 >= n then fail "truncated \\u escape";
-            let code =
-              match int_of_string_opt ("0x" ^ String.sub line (!pos + 2) 4) with
-              | Some c -> c
-              | None -> fail "malformed \\u escape at offset %d" !pos
-            in
-            (* we only ever emit control characters this way *)
-            Buffer.add_char b (Char.chr (code land 0xff));
-            pos := !pos + 6
-          | 'n' ->
-            Buffer.add_char b '\n';
-            pos := !pos + 2
-          | 't' ->
-            Buffer.add_char b '\t';
-            pos := !pos + 2
-          | c ->
-            Buffer.add_char b c;
-            pos := !pos + 2);
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number_lit () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected a value at offset %d" start;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number at offset %d" start
-  in
-  let rec value depth =
-    if depth > max_depth then fail "nesting deeper than %d" max_depth;
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (string_lit ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        O []
-      end
-      else begin
-        let fields = ref [] in
-        let continue = ref true in
-        while !continue do
-          let key = string_lit () in
-          expect ':';
-          fields := (key, value (depth + 1)) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos
-          | Some '}' ->
-            incr pos;
-            continue := false
-          | _ -> fail "expected ',' or '}' at offset %d" !pos
-        done;
-        O (List.rev !fields)
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        A []
-      end
-      else begin
-        let items = ref [] in
-        let continue = ref true in
-        while !continue do
-          items := value (depth + 1) :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos
-          | Some ']' ->
-            incr pos;
-            continue := false
-          | _ -> fail "expected ',' or ']' at offset %d" !pos
-        done;
-        A (List.rev !items)
-      end
-    | _ -> N (number_lit ())
-  in
-  let v = value 0 in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
-
 let of_json line =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-  let fields = function O fs -> fs | _ -> fail "expected an object" in
-  let str fs key =
-    match List.assoc_opt key fs with
-    | Some (S s) -> s
-    | Some _ -> fail "field %S is not a string" key
-    | None -> fail "missing field %S" key
-  in
-  let num fs key =
-    match List.assoc_opt key fs with
-    | Some (N f) -> f
-    | Some _ -> fail "field %S is not a number" key
-    | None -> fail "missing field %S" key
-  in
-  let int fs key =
-    let f = num fs key in
-    let i = int_of_float f in
-    if float_of_int i <> f then fail "field %S is not an integer" key;
-    i
-  in
-  let rec span_of fs =
-    let children =
-      match List.assoc_opt "children" fs with
-      | None -> []
-      | Some (A items) -> List.map (fun v -> span_of (fields v)) items
-      | Some _ -> fail "field \"children\" is not an array"
-    in
+  let open Json in
+  let rec span_of j =
     {
-      name = str fs "name";
-      start_us = num fs "t_us";
-      dur_us = num fs "dur_us";
-      children;
+      name = field "name" str j;
+      start_us = field "t_us" num j;
+      dur_us = field "dur_us" num j;
+      children = Option.value ~default:[] (field_opt "children" (list span_of) j);
     }
   in
-  try
-    let fs = fields (parse_value line) in
+  let trace j =
     let trace_id =
-      let s = str fs "trace_id" in
-      match id_of_string s with
-      | Some id -> id
-      | None -> fail "malformed trace id %S" s
+      let s = field "trace_id" str j in
+      match id_of_string s with Some id -> id | None -> fail "malformed trace id %S" s
     in
-    let reasons =
-      match List.assoc_opt "reasons" fs with
-      | Some (A items) ->
-        (* unknown reason names are a newer sampler's vocabulary — drop them *)
-        List.filter_map
-          (function S s -> reason_of_string s | _ -> fail "non-string reason")
-          items
-      | Some _ -> fail "field \"reasons\" is not an array"
-      | None -> fail "missing field \"reasons\""
-    in
+    (* unknown reason names are a newer sampler's vocabulary — drop them *)
+    let reasons = List.filter_map reason_of_string (field "reasons" (list str) j) in
     if reasons = [] then fail "no recognizable sampling reason";
-    let root =
-      match List.assoc_opt "root" fs with
-      | Some (O rfs) -> span_of rfs
-      | Some _ -> fail "field \"root\" is not an object"
-      | None -> fail "missing field \"root\""
-    in
-    Ok
-      (make ~trace_id ~tenant:(int fs "tenant") ~app:(str fs "app")
-         ~window:(int fs "window") ~shard:(int fs "shard") ~outcome:(str fs "outcome")
-         ~latency_us:(num fs "lat_us") ~count:(int fs "count") ~reasons ~root)
-  with
-  | Parse msg -> Error msg
-  | Invalid_argument msg -> Error msg
+    let count = field "count" int j in
+    if count < 1 then fail "count must be positive";
+    make ~trace_id ~tenant:(field "tenant" int j) ~app:(field "app" str j)
+      ~window:(field "window" int j) ~shard:(field "shard" int j)
+      ~outcome:(field "outcome" str j) ~latency_us:(field "lat_us" num j) ~count
+      ~reasons ~root:(field "root" span_of j)
+  in
+  decode trace line
 
 let pp ppf t =
   Format.fprintf ppf "%s tenant=%d app=%s window=%d shard=%d outcome=%s lat=%.1fus x%d [%s]"

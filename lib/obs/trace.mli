@@ -95,10 +95,11 @@ val to_json : t -> string
     order), which is what makes files byte-comparable across [--jobs]. *)
 
 val of_json : string -> (t, string) result
-(** Inverse of {!to_json}.  Tolerates any field order; unknown reason names
-    are dropped (forward-compat) unless that leaves the list empty.  Nesting
-    beyond depth 64 is rejected rather than risking stack overflow on
-    hostile input. *)
+(** Inverse of {!to_json}, decoded with {!Json.parse}.  Tolerates any field
+    order; unknown reason names are dropped (forward-compat) unless that
+    leaves the list empty.  Nesting beyond {!Json.max_depth} containers —
+    span trees deeper than 32 levels — is rejected rather than risking stack
+    overflow on hostile input. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (no tree). *)

@@ -392,7 +392,7 @@ let suite =
 
 (* ---- perfetto edge shapes ------------------------------------------------ *)
 
-module J = Flo_engine.Bench_schema.Json
+module J = Flo_obs.Json
 
 let test_perfetto_empty_trace () =
   (* no events must still yield a well-formed document with an (empty or
@@ -429,6 +429,13 @@ let test_perfetto_single_event () =
     | _ -> Alcotest.fail "slice has no ts")
   | _ -> Alcotest.fail "traceEvents missing or not a list"
 
+(* byte-identity gate: the Perfetto export of the golden fixture is pinned
+   by digest *)
+let test_perfetto_golden_digest () =
+  let events = A.events (load_golden ()) in
+  Alcotest.(check string) "perfetto export md5" "02b64f28517305f495a6391434711663"
+    (Digest.to_hex (Digest.string (Flo_analysis.Perfetto.json_of_events events)))
+
 let test_bad_trace_fixture () =
   (* the checked-in fixture behind `flopt analyze` exit-code behavior: line 3
      is the malformed one (line 2 is blank and must be skipped, not counted
@@ -450,4 +457,5 @@ let suite =
       ("perfetto: empty trace", `Quick, test_perfetto_empty_trace);
       ("perfetto: single event", `Quick, test_perfetto_single_event);
       ("bad-trace fixture reports line 3", `Quick, test_bad_trace_fixture);
+      ("perfetto golden export digest", `Quick, test_perfetto_golden_digest);
     ]

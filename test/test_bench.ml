@@ -1,105 +1,24 @@
-(* The machine-readable bench trajectory: JSON tree parse/print, manifest
-   schema round-trip and validation, and bench-diff's regression gating. *)
+(* The machine-readable bench trajectory: manifest schema round-trip and
+   validation, bench-diff's regression gating, and the bench history.  The
+   JSON codec itself is tested in test_obs.ml. *)
 
 open Flo_engine
 module B = Bench_schema
-module J = B.Json
+module J = Flo_obs.Json
 
 let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* -- Json ---------------------------------------------------------------- *)
-
-let test_json_roundtrip_by_hand () =
-  let t =
-    J.Obj
-      [
-        ("s", J.Str "he\"llo\n");
-        ("n", J.Num 1.5);
-        ("i", J.Num 42.);
-        ("b", J.Bool true);
-        ("z", J.Null);
-        ("l", J.Arr [ J.Num 1.; J.Arr []; J.Obj [] ]);
-      ]
-  in
-  checkb "roundtrip" true (J.parse (J.to_string t) = t);
-  check_str "integers print bare" "42" (J.to_string (J.Num 42.))
-
-let test_json_parse_accepts_whitespace () =
-  let t = J.parse "  {\n  \"a\" : [ 1 , 2 ] ,\n \"b\" : null }  " in
-  checkb "fields" true
-    (t = J.Obj [ ("a", J.Arr [ J.Num 1.; J.Num 2. ]); ("b", J.Null) ])
-
-let test_json_parse_rejects_garbage () =
-  List.iter
-    (fun s ->
-      match J.parse s with
-      | exception J.Parse _ -> ()
-      | v -> Alcotest.failf "accepted %S as %s" s (J.to_string v))
-    [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "{} x"; "\"unterminated" ]
-
-let json_gen =
-  let open QCheck.Gen in
-  let scalar =
-    oneof
-      [
-        return J.Null;
-        map (fun b -> J.Bool b) bool;
-        map (fun n -> J.Num (float_of_int n)) small_signed_int;
-        map (fun s -> J.Str s) (string_size ~gen:printable (int_bound 8));
-      ]
-  in
-  let rec tree depth =
-    if depth = 0 then scalar
-    else
-      frequency
-        [
-          (2, scalar);
-          (1, map (fun l -> J.Arr l) (list_size (int_bound 4) (tree (depth - 1))));
-          ( 1,
-            map
-              (fun kvs -> J.Obj kvs)
-              (list_size (int_bound 4)
-                 (pair (string_size ~gen:printable (int_bound 6)) (tree (depth - 1))))
-          );
-        ]
-  in
-  tree 3
-
-let prop_json_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"Json.parse inverts Json.to_string"
-    (QCheck.make json_gen)
-    (fun t -> J.parse (J.to_string t) = t)
-
 (* -- parser robustness ---------------------------------------------------- *)
 
-(* arbitrary byte strings, not just printable ones: the manifest parser is
-   the only component that reads files an attacker (or a crashed writer)
-   controls, so it must be total — structured [Error], never an exception *)
-let hostile_string_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (* raw bytes *)
-        (3, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 64));
-        (* json-ish prefixes that exercise every parser state *)
-        ( 2,
-          map
-            (fun (a, b) -> a ^ b)
-            (pair
-               (oneofl
-                  [ "{"; "["; "{\"a\":"; "[1,"; "\""; "\\"; "tru"; "-"; "1e";
-                    "{\"schema\":\"flopt-bench\","; "nul" ])
-               (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 32)) ) );
-      ])
-
+(* the decoder-parameterised totality property lives with the codec's
+   suite; the manifest and history readers run it here *)
 let prop_parse_string_never_raises =
-  QCheck.Test.make ~count:1000
-    ~name:"Bench_schema.parse_string is total on arbitrary bytes"
-    (QCheck.make ~print:String.escaped hostile_string_gen)
-    (fun s ->
-      match B.parse_string s with Ok _ | Error _ -> true)
+  Test_obs.prop_decoder_total "Bench_schema.parse_string" B.parse_string
+
+let prop_history_parse_string_never_raises =
+  Test_obs.prop_decoder_total "Bench_history.parse_string" Bench_history.parse_string
 
 let test_parser_depth_limited () =
   (* a hostile "[[[[..." must come back as a structured error, not blow the
@@ -117,6 +36,21 @@ let test_parser_depth_limited () =
 let fixture name =
   if Sys.file_exists (Filename.concat "data" name) then Filename.concat "data" name
   else Filename.concat "test/data" name
+
+(* byte-identity gate: the checked-in baseline, loaded and printed back
+   with the manifest printer, reproduces the file exactly *)
+let test_baseline_reprints_byte_for_byte () =
+  let path =
+    if Sys.file_exists "../bench/baseline.json" then "../bench/baseline.json"
+    else "bench/baseline.json"
+  in
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_int "baseline size" 4786 (String.length bytes);
+  match B.load path with
+  | Ok m -> check_str "reprinted baseline" bytes (J.to_string (B.to_json m) ^ "\n")
+  | Error e -> Alcotest.failf "baseline did not load: %s" e
 
 let test_hostile_fixtures_load_to_errors () =
   List.iter
@@ -185,6 +119,21 @@ let test_save_is_atomic () =
   | Error e -> Alcotest.failf "manifest corrupted by failed save: %s" e);
   Unix.rmdir tmp;
   Sys.remove path
+
+(* manifests decode through the shared codec: escapes become UTF-8 and a
+   count must be integral *)
+let test_manifest_decodes_through_codec () =
+  let doc ~app ~sample =
+    Printf.sprintf
+      {|{"schema":"flopt-bench","version":1,"config":{"apps":["%s"],"sample":%s,"block_elems":64,"threads":64},"metrics":[]}|}
+      app sample
+  in
+  (match B.parse_string (doc ~app:{|\u4e2d\u00e9|} ~sample:"8") with
+  | Ok m -> checkb "escaped app name" true (m.B.apps = [ "\xe4\xb8\xad\xc3\xa9" ])
+  | Error e -> Alcotest.failf "manifest rejected: %s" e);
+  match B.parse_string (doc ~app:"a" ~sample:"8.5") with
+  | Error e -> checkb "names the field" true (String.length e > 0)
+  | Ok m -> Alcotest.failf "sample 8.5 loaded as %d" m.B.sample
 
 let test_load_reports_errors () =
   (match B.load "/nonexistent/bench.json" with
@@ -431,21 +380,20 @@ let test_history_page_deterministic () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_json_roundtrip; prop_parse_string_never_raises;
+      prop_parse_string_never_raises; prop_history_parse_string_never_raises;
       prop_self_diff_never_regresses;
     ]
 
 let suite =
   [
-    ("json roundtrip by hand", `Quick, test_json_roundtrip_by_hand);
-    ("json whitespace", `Quick, test_json_parse_accepts_whitespace);
-    ("json rejects garbage", `Quick, test_json_parse_rejects_garbage);
     ("parser depth limited", `Quick, test_parser_depth_limited);
     ("hostile fixtures load to errors", `Quick, test_hostile_fixtures_load_to_errors);
+    ("baseline reprints byte for byte", `Quick, test_baseline_reprints_byte_for_byte);
     ("manifest roundtrip", `Quick, test_manifest_roundtrip);
     ("validate rejects bad manifests", `Quick, test_validate_rejects);
     ("save is atomic", `Quick, test_save_is_atomic);
     ("load reports errors", `Quick, test_load_reports_errors);
+    ("manifest decodes through the codec", `Quick, test_manifest_decodes_through_codec);
     ("self-diff is clean", `Quick, test_self_diff_clean);
     ("injected 2x slowdown regresses", `Quick, test_injected_slowdown_regresses);
     ("threshold masks small changes", `Quick, test_threshold_masks_small_changes);

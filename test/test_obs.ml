@@ -317,14 +317,48 @@ let test_event_json_parse () =
   | Ok e -> checkb "unknown kind wraps in Other" true (e.Event.kind = Event.Other "warp")
   | Error msg -> Alcotest.failf "unknown kind rejected: %s" msg
 
-(* floats as eighths so the %.3f wire format round-trips exactly *)
+(* byte-identity gate: every event of the golden fixture, parsed and
+   re-emitted, reproduces the file byte for byte *)
+let test_golden_trace_reemits () =
+  let path =
+    if Sys.file_exists "data/golden_trace.jsonl" then "data/golden_trace.jsonl"
+    else "test/data/golden_trace.jsonl"
+  in
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let lines = String.split_on_char '\n' bytes |> List.filter (( <> ) "") in
+  check "fixture events" 39 (List.length lines);
+  let reemitted =
+    List.map
+      (fun line ->
+        match Event.of_json line with
+        | Ok e -> Event.to_json e ^ "\n"
+        | Error msg -> Alcotest.failf "golden line rejected: %s" msg)
+      lines
+  in
+  Alcotest.(check string) "re-emitted trace" bytes (String.concat "" reemitted)
+
+(* floats as eighths so the %.3f wire format round-trips exactly; [Other]
+   names are printable strings rich in quotes and backslashes, never one of
+   the 11 built-in names *)
 let event_arb =
   let open QCheck in
+  let other =
+    Gen.(
+      string_size ~gen:(frequency [ (4, printable); (1, oneofl [ '"'; '\\' ]) ]) (int_bound 10)
+      >|= fun s -> Event.Other (if Event.kind_of_string s = None then s else s ^ "\""))
+  in
   let gen =
     Gen.(
-      oneofl [ Event.Access; Event.Hit; Event.Miss; Event.Evict; Event.Demote;
-               Event.Prefetch; Event.Disk_read; Event.Fault; Event.Retry;
-               Event.Timeout; Event.Failover ]
+      frequency
+        [
+          ( 3,
+            oneofl [ Event.Access; Event.Hit; Event.Miss; Event.Evict; Event.Demote;
+                     Event.Prefetch; Event.Disk_read; Event.Fault; Event.Retry;
+                     Event.Timeout; Event.Failover ] );
+          (1, other);
+        ]
       >>= fun kind ->
       oneofl [ Event.L1; Event.L2; Event.Disk ] >>= fun layer ->
       int_range 0 7 >>= fun node ->
@@ -348,6 +382,158 @@ let prop_event_json_roundtrip =
       match Event.of_json (Event.to_json e) with
       | Ok e' -> e' = e
       | Error _ -> false)
+
+(* ---- Json: the one codec ------------------------------------------------ *)
+
+module J = Json
+
+let test_json_roundtrip_by_hand () =
+  let t =
+    J.Obj
+      [
+        ("s", J.Str "he\"llo\n");
+        ("n", J.Num 1.5);
+        ("i", J.Num 42.);
+        ("b", J.Bool true);
+        ("z", J.Null);
+        ("l", J.Arr [ J.Num 1.; J.Arr []; J.Obj [] ]);
+      ]
+  in
+  checkb "roundtrip" true (J.parse (J.to_string t) = t);
+  Alcotest.(check string) "integers print bare" "42" (J.to_string (J.Num 42.))
+
+let test_json_parse_accepts_whitespace () =
+  let t = J.parse "  {\n  \"a\" : [ 1 , 2 ] ,\n \"b\" : null }  " in
+  checkb "fields" true
+    (t = J.Obj [ ("a", J.Arr [ J.Num 1.; J.Num 2. ]); ("b", J.Null) ])
+
+let test_json_parse_rejects_garbage () =
+  List.iter
+    (fun s ->
+      match J.parse s with
+      | exception J.Parse _ -> ()
+      | v -> Alcotest.failf "accepted %S as %s" s (J.to_string v))
+    [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "{} x"; "\"unterminated";
+      (* RFC 8259: only the eight short escapes and \uXXXX exist *)
+      {|"\x"|}; {|"\u12"|}; {|"\u12g4"|};
+      (* a lone surrogate has no UTF-8 form *)
+      {|"\ud800"|}; {|"\udc00"|}; {|"\ud800\u0041"|} ]
+
+(* every reader decodes the same escapes the same way *)
+let test_json_escapes_decode_once () =
+  let check_str = Alcotest.(check string) in
+  check_str "\\u escapes decode to UTF-8" "\xe4\xb8\xad\xc3\xa9"
+    (J.str (J.parse {|"\u4e2d\u00e9"|}));
+  check_str "surrogate pair" "\xf0\x9f\x98\x80" (J.str (J.parse {|"\ud83d\ude00"|}));
+  check_str "short escapes" "\"\\/\b\012\n\r\t"
+    (J.str (J.parse {|"\"\\\/\b\f\n\r\t"|}));
+  checkb "first duplicate key wins" true
+    (J.member "a" (J.parse {|{"a":1,"a":2}|}) = Some (J.Num 1.));
+  (* the same bytes through the event and trace readers *)
+  (match
+     Event.of_json
+       {|{"t_us":1,"kind":"a\nb\u4e2d","layer":"l1","node":0,"thread":0,"file":0,"block":0}|}
+   with
+  | Ok e -> checkb "event kind unescaped" true (e.Event.kind = Event.Other "a\nb\xe4\xb8\xad")
+  | Error msg -> Alcotest.failf "event rejected: %s" msg);
+  (match
+     Trace.of_json
+       {|{"trace_id":"000000000000002a","tenant":1,"app":"\u4e2d\u00e9","window":0,"shard":0,"outcome":"o\nk","lat_us":5.0,"count":1,"reasons":["head"],"root":{"name":"request","t_us":0.0,"dur_us":5.0}}|}
+   with
+  | Ok t ->
+    check_str "trace app" "\xe4\xb8\xad\xc3\xa9" t.Trace.app;
+    check_str "trace outcome" "o\nk" t.Trace.outcome
+  | Error msg -> Alcotest.failf "trace rejected: %s" msg);
+  (* integer fields take integral numbers only *)
+  checkb "fractional block rejected" true
+    (Result.is_error
+       (Event.of_json
+          {|{"t_us":1,"kind":"hit","layer":"l1","node":0,"thread":0,"file":0,"block":1.5}|}))
+
+let test_json_nesting_cap () =
+  let deep n = String.make n '[' ^ String.make n ']' in
+  checkb "64 levels parse" true (match J.parse (deep J.max_depth) with J.Arr _ -> true | _ -> false);
+  checkb "65 levels rejected" true
+    (match J.parse (deep (J.max_depth + 1)) with exception J.Parse _ -> true | _ -> false);
+  (* two containers per span level: a 32-level span tree is the deepest a
+     trace can carry *)
+  let trace levels =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      {|{"trace_id":"0000000000000001","tenant":0,"app":"x","window":0,"shard":0,"outcome":"ok","lat_us":1.0,"count":1,"reasons":["head"],"root":|};
+    for _ = 2 to levels do
+      Buffer.add_string b {|{"name":"s","t_us":0.0,"dur_us":1.0,"children":[|}
+    done;
+    Buffer.add_string b {|{"name":"s","t_us":0.0,"dur_us":1.0}|};
+    for _ = 2 to levels do
+      Buffer.add_string b "]}"
+    done;
+    Buffer.add_string b "}";
+    Trace.of_json (Buffer.contents b)
+  in
+  checkb "32 span levels parse" true (Result.is_ok (trace 32));
+  checkb "33 span levels rejected" true (Result.is_error (trace 33))
+
+(* arbitrary bytes in every string and key: the printer must escape every
+   control byte and the parser must give every byte back *)
+let json_gen =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (int_bound n) in
+  let scalar =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun n -> J.Num (float_of_int n)) small_signed_int;
+        map (fun s -> J.Str s) (bytes 8);
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [
+          (2, scalar);
+          (1, map (fun l -> J.Arr l) (list_size (int_bound 4) (tree (depth - 1))));
+          ( 1,
+            map
+              (fun kvs -> J.Obj kvs)
+              (list_size (int_bound 4) (pair (bytes 6) (tree (depth - 1)))) );
+        ]
+  in
+  tree 3
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"Json.parse inverts Json.to_string"
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun t ->
+      let s = J.to_string t in
+      String.for_all (fun c -> c >= ' ') s && J.parse s = t)
+
+(* arbitrary byte strings, not just printable ones: every reader of a file
+   an attacker (or a crashed writer) controls must be total — structured
+   [Error], never an exception *)
+let hostile_string_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (* raw bytes *)
+        (3, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 64));
+        (* json-ish prefixes that exercise every parser state *)
+        ( 2,
+          map
+            (fun (a, b) -> a ^ b)
+            (pair
+               (oneofl
+                  [ "{"; "["; "{\"a\":"; "[1,"; "\""; "\\"; "tru"; "-"; "1e";
+                    "{\"schema\":\"flopt-bench\","; "nul"; "\"\\u"; "\"\\ud83d\\u" ])
+               (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 32)) ) );
+      ])
+
+let prop_decoder_total name decode =
+  QCheck.Test.make ~count:1000 ~name:(name ^ " is total on arbitrary bytes")
+    (QCheck.make ~print:String.escaped hostile_string_gen)
+    (fun s -> match decode s with Ok _ | Error _ -> true)
 
 (* ---- Sink: ring properties --------------------------------------------- *)
 
@@ -543,6 +729,9 @@ let qsuite =
       prop_histogram_add_many_equals_repeated_add;
       prop_histogram_bucket_monotone;
       prop_event_json_roundtrip;
+      prop_json_roundtrip;
+      prop_decoder_total "Event.of_json" Event.of_json;
+      prop_decoder_total "Trace.of_json" Trace.of_json;
       prop_metrics_merge_commutative;
       prop_metrics_merge_associative;
       prop_ring_bounded_and_newest;
@@ -560,6 +749,12 @@ let suite =
     ("metrics registry", `Quick, test_metrics_registry);
     ("metrics merge copies", `Quick, prop_metrics_merge_leaves_inputs);
     ("event json encoding", `Quick, test_event_json);
+    ("golden trace re-emits byte for byte", `Quick, test_golden_trace_reemits);
+    ("json roundtrip by hand", `Quick, test_json_roundtrip_by_hand);
+    ("json whitespace", `Quick, test_json_parse_accepts_whitespace);
+    ("json rejects garbage", `Quick, test_json_parse_rejects_garbage);
+    ("json escapes decode once", `Quick, test_json_escapes_decode_once);
+    ("json nesting cap", `Quick, test_json_nesting_cap);
     ("jsonl + tee sinks", `Quick, test_sink_jsonl_and_tee);
     ("span phase timing", `Quick, test_span_records);
   ]
