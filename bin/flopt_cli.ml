@@ -652,14 +652,19 @@ let fidelity_cmd =
          & info [] ~docv:"APP" ~doc:"Application name (omit to sweep the whole suite).")
   in
   let run app layout_mode scope tolerance predict_block_elems sample jobs =
-    if tolerance < 0. then begin
-      prerr_endline "flopt: fidelity: --tolerance must be non-negative";
+    if not (Float.is_finite tolerance && tolerance >= 0.) then begin
+      prerr_endline "flopt: fidelity: --tolerance must be finite and non-negative";
       exit 2
     end;
     if sample < 1 then begin
       prerr_endline "flopt: fidelity: --sample must be positive";
       exit 2
     end;
+    (match predict_block_elems with
+    | Some b when b < 1 ->
+      prerr_endline "flopt: fidelity: --predict-block-elems must be positive";
+      exit 2
+    | _ -> ());
     let layouts_for app =
       match layout_mode with
       | Default -> Experiment.default_layouts app

@@ -5,19 +5,42 @@
 type t = {
   seen : (int * int * int, unit) Hashtbl.t;  (* (thread, file, block) *)
   counts : (int * int, int ref) Hashtbl.t;  (* (thread, file) -> distinct *)
+  degrees : (int * int, int ref) Hashtbl.t;  (* (file, block) -> distinct threads *)
   mutable requests : int;
+  mutable shared_blocks : int;
+  mutable cross_pairs : int;
 }
 
-let create () = { seen = Hashtbl.create 1024; counts = Hashtbl.create 64; requests = 0 }
+let create () =
+  {
+    seen = Hashtbl.create 1024;
+    counts = Hashtbl.create 64;
+    degrees = Hashtbl.create 1024;
+    requests = 0;
+    shared_blocks = 0;
+    cross_pairs = 0;
+  }
 
+let bump tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some r ->
+    incr r;
+    !r
+  | None ->
+    Hashtbl.add tbl key (ref 1);
+    1
+
+(* the sharing counts move only when a thread touches a block for the first
+   time: the block's degree k grows by one and adds k - 1 new pairs *)
 let touch t ~thread ~file ~block =
   t.requests <- t.requests + 1;
   let key = (thread, file, block) in
   if not (Hashtbl.mem t.seen key) then begin
     Hashtbl.add t.seen key ();
-    match Hashtbl.find_opt t.counts (thread, file) with
-    | Some r -> incr r
-    | None -> Hashtbl.add t.counts (thread, file) (ref 1)
+    ignore (bump t.counts (thread, file));
+    let k = bump t.degrees (file, block) in
+    t.cross_pairs <- t.cross_pairs + k - 1;
+    if k = 2 then t.shared_blocks <- t.shared_blocks + 1
   end
 
 let requests t = t.requests
@@ -46,22 +69,6 @@ let total_distinct t ~thread =
     (fun (th, _) r acc -> if th = thread then acc + !r else acc)
     t.counts 0
 
-(* (file, block) -> number of distinct threads that touched it *)
-let block_degrees t =
-  let deg = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun (_, file, block) () ->
-      let key = (file, block) in
-      match Hashtbl.find_opt deg key with
-      | Some r -> incr r
-      | None -> Hashtbl.add deg key (ref 1))
-    t.seen;
-  deg
-
-let shared_blocks t =
-  Hashtbl.fold (fun _ r acc -> if !r >= 2 then acc + 1 else acc) (block_degrees t) 0
-
-let cross_pairs t =
-  Hashtbl.fold (fun _ r acc -> acc + (!r * (!r - 1) / 2)) (block_degrees t) 0
-
-let distinct_blocks t = Hashtbl.length (block_degrees t)
+let distinct_blocks t = Hashtbl.length t.degrees
+let shared_blocks t = t.shared_blocks
+let cross_pairs t = t.cross_pairs

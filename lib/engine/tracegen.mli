@@ -6,7 +6,12 @@
     a thread reading elements stored contiguously issues one block-sized
     request, a thread whose elements are scattered issues one request per
     element.  This is where a layout's "block footprint" becomes request
-    traffic. *)
+    traffic.
+
+    The enumeration itself is {!Flo_core.Block_walk}, which
+    [Flo_fidelity.Predict] counts too; this module packs its streams into
+    block ids and keeps the naive {!reference_streams} as the oracle both
+    are tested against. *)
 
 open Flo_poly
 open Flo_storage
@@ -30,12 +35,11 @@ val nest_streams :
     thread's iterations (a prefix preserves contiguity) — profile mode.  The per-nest block count is capped by the nest's
     parallel extent.
 
-    This is the strength-reduced fast path: per-reference offsets are
-    tracked as incremental affine cursors over the lexicographic walk
-    (via {!File_layout.linear_strides} / {!File_layout.offset_of_transformed})
-    and streams are accumulated in preallocated int buffers, so the hot
-    loop performs no per-element allocation, transform, or division.
-    Element-for-element identical to {!reference_streams}. *)
+    This is the strength-reduced {!Flo_core.Block_walk}, each thread's
+    stream packed into block ids as soon as that thread is walked.
+    Element-for-element identical to {!reference_streams}.
+    @raise Invalid_argument on non-positive [sample] or [block_elems], or a
+    block id out of {!Block.make}'s range. *)
 
 val reference_streams :
   layouts:(int -> File_layout.t) ->
@@ -51,7 +55,8 @@ val reference_streams :
     {!File_layout.offset_of} per element — retained as the executable
     specification of the stream semantics.  The golden equality tests
     assert [nest_streams = reference_streams] across the whole workload
-    suite; use this (or [--jobs 1]) when auditing the fast path. *)
+    suite, and pin [Predict]'s counts to the block sets of these streams;
+    use this (or [--jobs 1]) when auditing the fast path. *)
 
 val iterations_per_thread :
   threads:int -> blocks_per_thread:int -> ?sample:int -> Loop_nest.t -> int array

@@ -32,26 +32,28 @@ let rel_drift r =
 let flagged_row ~tolerance r = rel_drift r > tolerance
 
 let join ?(tolerance = 0.) ~predict ~observed () =
+  if not (Float.is_finite tolerance) then invalid_arg "Fidelity.join: non-finite tolerance";
   if tolerance < 0. then invalid_arg "Fidelity.join: negative tolerance";
   let l = Analyzer.locality observed in
-  (* union of keys: a pair only one side knows about is itself drift *)
-  let keys = Hashtbl.create 64 in
-  List.iter (fun (key, _) -> Hashtbl.replace keys key ()) predict.Predict.distinct;
+  (* (predicted, observed) per (thread, file) over the union of keys: a pair
+     only one side knows about is itself drift *)
+  let cells = Hashtbl.create 64 in
+  List.iter (fun (key, n) -> Hashtbl.replace cells key (n, 0)) predict.Predict.distinct;
   List.iter
     (fun (thread, per_file) ->
-      List.iter (fun (file, _) -> Hashtbl.replace keys (thread, file) ()) per_file)
+      List.iter
+        (fun (file, n) ->
+          let predicted =
+            match Hashtbl.find_opt cells (thread, file) with Some (p, _) -> p | None -> 0
+          in
+          Hashtbl.replace cells (thread, file) (predicted, n))
+        per_file)
     (Locality.per_thread l);
   let rows =
     Hashtbl.fold
-      (fun (thread, file) () acc ->
-        {
-          thread;
-          file;
-          predicted = Predict.distinct_of predict ~thread ~file;
-          observed = Locality.distinct l ~thread ~file;
-        }
-        :: acc)
-      keys []
+      (fun (thread, file) (predicted, observed) acc ->
+        { thread; file; predicted; observed } :: acc)
+      cells []
     |> List.sort (fun a b -> compare (a.thread, a.file) (b.thread, b.file))
   in
   (* a cache only sees the subset of the request stream that reaches it, so

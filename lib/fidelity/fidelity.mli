@@ -53,7 +53,7 @@ val join :
 (** Rows cover the union of pairs either side knows about — a pair present
     on only one side is itself drift.  [tolerance] (default 0) is the
     relative-error budget used by {!flagged} and {!ok}.
-    @raise Invalid_argument on negative [tolerance]. *)
+    @raise Invalid_argument on a negative or non-finite [tolerance]. *)
 
 (** {1 Per-row drift} *)
 

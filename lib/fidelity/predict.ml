@@ -76,69 +76,69 @@ let array_prediction ~block_elems (decl : Program.array_decl) layout =
       | _ -> []);
   }
 
-(* Mirrors Tracegen's parallelization exactly: round-robin iteration blocks,
-   [num_blocks = min (threads * blocks_per_thread) extent], and profile-mode
-   sampling keeps a prefix of each thread's iterations. *)
+(* One walk per nest, the same one the run's request streams come from.
+   Threads are walked in ascending order, each across every nest, so a
+   block's stamp (the last thread that touched it) differs from the current
+   thread exactly on that thread's first touch of the block. *)
 let compute ?(blocks_per_thread = 1) ?(sample = 1) ~block_elems ~threads ~name ~layouts
     (program : Program.t) =
   if sample < 1 then invalid_arg "Predict.compute: sample < 1";
   if block_elems < 1 then invalid_arg "Predict.compute: block_elems < 1";
-  let seen : (int * int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let degrees : (int * int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let touch ~thread ~file ~block =
-    let key = (thread, file, block) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      (match Hashtbl.find_opt counts (thread, file) with
-      | Some r -> incr r
-      | None -> Hashtbl.add counts (thread, file) (ref 1));
-      match Hashtbl.find_opt degrees (file, block) with
-      | Some r -> incr r
-      | None -> Hashtbl.add degrees (file, block) (ref 1)
-    end
+  let walks =
+    List.map
+      (Block_walk.create ~layouts ~block_elems ~threads ~blocks_per_thread ~sample)
+      program.Program.nests
   in
-  List.iter
-    (fun (nest : Loop_nest.t) ->
-      let u = nest.Loop_nest.parallel_dim in
-      let extent = Iter_space.extent nest.Loop_nest.space u in
-      let num_blocks = min (threads * blocks_per_thread) extent in
-      let plan =
-        Parallelize.custom ~threads ~num_blocks ~assign:(fun b -> b mod threads) nest
-      in
-      let totals = Parallelize.iterations_per_thread plan in
-      let refs =
-        List.map (fun r -> (Access.array_id r, layouts (Access.array_id r), r))
-          nest.Loop_nest.refs
-      in
-      for thread = 0 to threads - 1 do
-        let limit = (totals.(thread) + sample - 1) / sample in
-        let counter = ref 0 in
-        Parallelize.iter_thread plan ~thread (fun iter ->
-            let keep = !counter < limit in
-            incr counter;
-            if keep then
-              List.iter
-                (fun (file, layout, r) ->
-                  let offset = File_layout.offset_of layout (Access.eval r iter) in
-                  touch ~thread ~file ~block:(offset / block_elems))
-                refs)
-      done)
-    program.Program.nests;
+  let ids = Program.array_ids program in
+  let files = 1 + List.fold_left max 0 ids in
+  (* per file, indexed by block and grown on demand: stamp and degree
+     (distinct threads) *)
+  let stamp = Array.make files [||] and degree = Array.make files [||] in
+  let grow a n fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  let counts = Array.make (threads * files) 0 in
+  let distinct_blocks = ref 0 and cross_shared_blocks = ref 0 and cross_pairs = ref 0 in
+  for thread = 0 to threads - 1 do
+    List.iter
+      (fun walk ->
+        let s = Block_walk.walk walk ~thread in
+        for i = 0 to s.Block_walk.len - 1 do
+          let file = s.Block_walk.files.(i) and block = s.Block_walk.indices.(i) in
+          if block >= Array.length stamp.(file) then begin
+            let n = max (block + 1) (2 * Array.length stamp.(file)) in
+            stamp.(file) <- grow stamp.(file) n (-1);
+            degree.(file) <- grow degree.(file) n 0
+          end;
+          let st = stamp.(file) in
+          if st.(block) <> thread then begin
+            st.(block) <- thread;
+            let c = (thread * files) + file in
+            counts.(c) <- counts.(c) + 1;
+            let d = degree.(file) in
+            let k = d.(block) in
+            d.(block) <- k + 1;
+            cross_pairs := !cross_pairs + k;
+            if k = 0 then incr distinct_blocks else if k = 1 then incr cross_shared_blocks
+          end
+        done)
+      walks
+  done;
   let distinct =
-    Hashtbl.fold (fun key r acc -> (key, !r) :: acc) counts []
-    |> List.sort compare
-  in
-  let cross_shared_blocks =
-    Hashtbl.fold (fun _ r acc -> if !r >= 2 then acc + 1 else acc) degrees 0
-  in
-  let cross_pairs =
-    Hashtbl.fold (fun _ r acc -> acc + (!r * (!r - 1) / 2)) degrees 0
+    List.concat
+      (List.init threads (fun thread ->
+           List.filter_map
+             (fun file ->
+               let n = counts.((thread * files) + file) in
+               if n > 0 then Some ((thread, file), n) else None)
+             (List.init files Fun.id)))
   in
   let arrays =
     List.map
       (fun id -> array_prediction ~block_elems (Program.array_decl program id) (layouts id))
-      (Program.array_ids program)
+      ids
   in
   {
     app = name;
@@ -148,14 +148,11 @@ let compute ?(blocks_per_thread = 1) ?(sample = 1) ~block_elems ~threads ~name ~
     sample;
     arrays;
     distinct;
-    cross_shared_blocks;
-    cross_pairs;
-    distinct_blocks = Hashtbl.length degrees;
-    single_owner = cross_shared_blocks = 0;
+    cross_shared_blocks = !cross_shared_blocks;
+    cross_pairs = !cross_pairs;
+    distinct_blocks = !distinct_blocks;
+    single_owner = !cross_shared_blocks = 0;
   }
-
-let distinct_of t ~thread ~file =
-  match List.assoc_opt (thread, file) t.distinct with Some n -> n | None -> 0
 
 let total_distinct t ~thread =
   List.fold_left

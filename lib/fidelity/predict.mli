@@ -5,11 +5,15 @@
 
     - {b Step I (Eq. 4)}: the chosen transformation [D] minimizes the number
       of distinct blocks of each file every thread drags through the
-      hierarchy.  {!compute} evaluates that objective exactly: it enumerates
-      each thread's iteration blocks (the same round-robin distribution the
-      runtime uses), maps every reference through the chosen layout, and
-      counts distinct [(thread, file, block)] triples — with {e no} cache
-      simulation, interleaving, or request coalescing involved.
+      hierarchy.  {!compute} evaluates that objective exactly: it walks
+      each thread's iteration blocks through {!Flo_core.Block_walk} (the
+      same round-robin distribution and layout mapping the runtime's
+      request streams come from) and counts distinct
+      [(thread, file, block)] triples — with {e no} cache simulation or
+      interleaving involved.  A thread's collapsed stream holds exactly the
+      blocks it touches, so the per-file collapse changes no count; the
+      counts are pinned by test to the block sets of
+      [Flo_engine.Tracegen.reference_streams].
     - {b Step II}: the chunk placement
       [b_i = ((x / (t_1 ... t_(i-1))) mod t_i) * S_i] confines each thread's
       data to thread-private, block-aligned chunks, so at a matching block
@@ -72,9 +76,6 @@ val compute :
     knobs (defaults 1); predictions are exact for a run under the same
     parameters.  @raise Invalid_argument on non-positive [sample] or
     [block_elems]. *)
-
-val distinct_of : t -> thread:int -> file:int -> int
-(** 0 for a pair the model predicts no touches for. *)
 
 val total_distinct : t -> thread:int -> int
 val threads_seen : t -> int

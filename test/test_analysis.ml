@@ -111,6 +111,41 @@ let prop_sharing_matrix_laws =
       && !total <= Flo_analysis.Sharing.evictions s
       && Flo_analysis.Sharing.shared_blocks s <= Flo_analysis.Sharing.distinct_blocks s)
 
+(* Locality's counts against a from-scratch recount of the same touches;
+   small ranges so blocks repeat within and across threads *)
+let prop_locality_counting_law =
+  QCheck.Test.make ~name:"locality counts = recount of the touches" ~count:300
+    QCheck.(small_list (triple (int_bound 3) (int_bound 2) (int_bound 5)))
+    (fun touches ->
+      let module L = Flo_analysis.Locality in
+      let l = L.create () in
+      List.iter (fun (thread, file, block) -> L.touch l ~thread ~file ~block) touches;
+      let triples = List.sort_uniq compare touches in
+      let pairs = List.sort_uniq compare (List.map (fun (t, f, _) -> (t, f)) triples) in
+      let count p = List.length (List.filter p triples) in
+      let blocks = List.sort_uniq compare (List.map (fun (_, f, b) -> (f, b)) triples) in
+      let degree (f, b) = count (fun (_, f', b') -> f = f' && b = b') in
+      let per_thread =
+        List.sort_uniq compare (List.map fst pairs)
+        |> List.map (fun th ->
+               ( th,
+                 List.filter_map
+                   (fun (t, f) ->
+                     if t = th then Some (f, count (fun (t', f', _) -> t' = t && f' = f))
+                     else None)
+                   pairs ))
+      in
+      L.requests l = List.length touches
+      && List.for_all
+           (fun (t, f) ->
+             L.distinct l ~thread:t ~file:f = count (fun (t', f', _) -> t' = t && f' = f))
+           (List.concat_map (fun t -> List.init 4 (fun f -> (t, f))) [ 0; 1; 2; 3; 4 ])
+      && L.per_thread l = per_thread
+      && L.distinct_blocks l = List.length blocks
+      && L.shared_blocks l = List.length (List.filter (fun b -> degree b >= 2) blocks)
+      && L.cross_pairs l
+         = List.fold_left (fun acc b -> acc + (degree b * (degree b - 1) / 2)) 0 blocks)
+
 (* ---- Golden trace fixture: exact values -------------------------------- *)
 
 (* data/golden_trace.jsonl is a hand-written 9-request trace: 2 threads over
@@ -371,7 +406,8 @@ let test_analyzer_error_reporting () =
   | Error (A.Io msg) -> Alcotest.failf "expected Malformed, got Io: %s" msg);
   Sys.remove path
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_sharing_matrix_laws ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_sharing_matrix_laws; prop_locality_counting_law ]
 
 let suite =
   [

@@ -135,12 +135,85 @@ let test_predict_validates_args () =
       ignore
         (P.compute ~sample:0 ~block_elems:64 ~threads:4 ~name:"x" ~layouts
            app.App.program));
+  let fd = fidelity_of app in
+  let join tolerance =
+    ignore (F.join ~tolerance ~predict:fd.F.predict ~observed:(Flo_analysis.Analyzer.create ()) ())
+  in
   Alcotest.check_raises "negative tolerance"
-    (Invalid_argument "Fidelity.join: negative tolerance") (fun () ->
-      let fd = fidelity_of app in
-      ignore
-        (F.join ~tolerance:(-0.1) ~predict:fd.F.predict
-           ~observed:(Flo_analysis.Analyzer.create ()) ()))
+    (Invalid_argument "Fidelity.join: negative tolerance") (fun () -> join (-0.1));
+  (* NaN compares false against everything: it must not pass as >= 0 *)
+  List.iter
+    (fun t ->
+      Alcotest.check_raises (Printf.sprintf "tolerance %g" t)
+        (Invalid_argument "Fidelity.join: non-finite tolerance") (fun () -> join t))
+    [ Float.nan; Float.infinity ]
+
+(* Predict is pinned to the retained naive generator: a thread's collapsed
+   reference stream holds exactly the set of blocks the thread touches, so
+   the per-thread block sets give the (thread, file) distinct counts and
+   the block degrees give the sharing counts *)
+let check_predict_against_reference ?(sample = 1) ?block_elems ~mode ~layouts
+    (app : App.t) =
+  let module B = Flo_storage.Block in
+  let block_elems =
+    Option.value block_elems ~default:config.Config.topology.Flo_storage.Topology.block_elems
+  in
+  let threads = Config.threads config in
+  let blocks_per_thread = config.Config.blocks_per_thread in
+  let sets = Array.make threads B.Set.empty in
+  List.iter
+    (fun nest ->
+      Array.iteri
+        (fun th stream -> sets.(th) <- Array.fold_right B.Set.add stream sets.(th))
+        (Tracegen.reference_streams ~layouts ~block_elems ~threads ~blocks_per_thread
+           ~sample nest))
+    app.App.program.Flo_poly.Program.nests;
+  let distinct =
+    List.concat
+      (List.init threads (fun th ->
+           B.Set.fold
+             (fun b acc ->
+               match acc with
+               | ((t, f), n) :: rest when t = th && f = B.file b -> ((t, f), n + 1) :: rest
+               | _ -> ((th, B.file b), 1) :: acc)
+             sets.(th) []
+           |> List.rev))
+  in
+  let degrees = B.Tbl.create 4096 in
+  Array.iter
+    (B.Set.iter (fun b ->
+         B.Tbl.replace degrees b (1 + Option.value ~default:0 (B.Tbl.find_opt degrees b))))
+    sets;
+  let count f = B.Tbl.fold (fun _ k acc -> acc + f k) degrees 0 in
+  let p =
+    P.compute ~blocks_per_thread ~sample ~block_elems ~threads ~name:app.App.name ~layouts
+      app.App.program
+  in
+  let label what = Printf.sprintf "%s %s sample %d: %s" app.App.name mode sample what in
+  Alcotest.(check (list (pair (pair int int) int))) (label "distinct") distinct p.P.distinct;
+  check (label "cross shared") (count (fun k -> if k >= 2 then 1 else 0))
+    p.P.cross_shared_blocks;
+  check (label "cross pairs") (count (fun k -> k * (k - 1) / 2)) p.P.cross_pairs;
+  check (label "distinct blocks") (B.Tbl.length degrees) p.P.distinct_blocks;
+  checkb (label "single owner") (p.P.cross_shared_blocks = 0) p.P.single_owner
+
+let test_predict_matches_reference () =
+  List.iter
+    (fun app ->
+      check_predict_against_reference ~sample:8 ~mode:"default"
+        ~layouts:(Experiment.default_layouts app) app;
+      check_predict_against_reference ~sample:8 ~mode:"inter"
+        ~layouts:(Experiment.inter_layouts config app) app)
+    Suite.all;
+  List.iter
+    (fun name ->
+      let app = Suite.find name in
+      check_predict_against_reference ~mode:"inter"
+        ~layouts:(Experiment.inter_layouts config app) app)
+    [ "cc-ver-1"; "wupwise" ];
+  let app = Suite.find "cc-ver-1" in
+  check_predict_against_reference ~block_elems:32 ~mode:"inter, 32-element blocks"
+    ~layouts:(Experiment.inter_layouts config app) app
 
 (* drift arithmetic on synthetic rows *)
 let test_row_drift_arithmetic () =
@@ -315,6 +388,7 @@ let suite =
     ("Step II layer expectations", `Quick, test_predict_layer_expectations);
     ("record publishes gauges", `Quick, test_record_publishes_gauges);
     ("argument validation", `Quick, test_predict_validates_args);
+    ("Predict matches reference_streams", `Slow, test_predict_matches_reference);
     ("row drift arithmetic", `Quick, test_row_drift_arithmetic);
     ("drift watch: quiet on identical windows", `Quick, test_drift_quiet_on_identical);
     ("drift watch: flags after enter streak", `Quick, test_drift_flags_after_streak);
