@@ -106,6 +106,19 @@ let write_file path f =
     Printf.eprintf "flopt: cannot write %s: %s\n" path msg;
     exit 2
 
+(* an input path that cannot be read (a directory, a permission error) is
+   a usage error, not a crash; Sys_error's own "PATH: " prefix is dropped
+   so the path is named once *)
+let cannot_read ~cmd path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+    else msg
+  in
+  Printf.eprintf "flopt: %s: cannot read %s: %s\n" cmd path reason;
+  exit 2
+
 (* run with the observability layer attached per the --trace/--metrics
    flags; the trace file is flushed and closed even if the run raises
    (Sink.with_jsonl), so a crashed simulation still leaves a parseable
@@ -330,10 +343,7 @@ let analyze_cmd =
       Printf.eprintf "flopt: analyze: %s: %s\n" path
         (Flo_analysis.Analyzer.load_error_to_string e);
       exit 1
-    | Error (Flo_analysis.Analyzer.Io _ as e) ->
-      Printf.eprintf "flopt: analyze: %s: %s\n" path
-        (Flo_analysis.Analyzer.load_error_to_string e);
-      exit 2
+    | Error (Flo_analysis.Analyzer.Io msg) -> cannot_read ~cmd:"analyze" path msg
     | Ok a ->
       Report.print_analysis ~max_matrix a;
       Option.iter
@@ -458,6 +468,12 @@ let trace_cmd =
                    Chrome trace-event JSON for ui.perfetto.dev.")
   in
   let run path tenant app_name outcome min_lat id max_trees perfetto =
+    (* every latency compares false against nan: reject it rather than
+       silently match nothing *)
+    if Option.fold ~none:false ~some:Float.is_nan min_lat then begin
+      prerr_endline "flopt: trace: --min-lat must be a number, not nan";
+      exit 2
+    end;
     let id =
       Option.map
         (fun s ->
@@ -469,7 +485,7 @@ let trace_cmd =
         id
     in
     let traces = ref [] in
-    let ic = open_in path in
+    let ic = try open_in path with Sys_error msg -> cannot_read ~cmd:"trace" path msg in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
@@ -485,7 +501,9 @@ let trace_cmd =
                 Printf.eprintf "flopt: trace: %s, line %d: %s\n" path !lineno msg;
                 exit 2
           done
-        with End_of_file -> ());
+        with
+        | End_of_file -> ()
+        | Sys_error msg -> cannot_read ~cmd:"trace" path msg);
     let all = List.rev !traces in
     let keep (t : Flo_obs.Trace.t) =
       (match tenant with None -> true | Some n -> t.Flo_obs.Trace.tenant = n)
@@ -970,10 +988,13 @@ module Traffic_args = struct
 
   let write_traces path traces =
     write_file path (fun oc ->
+        let buf = Buffer.create 4096 in
         List.iter
           (fun t ->
-            output_string oc (Flo_obs.Trace.to_json t);
-            output_char oc '\n')
+            Buffer.clear buf;
+            Flo_obs.Trace.to_buffer buf t;
+            Buffer.add_char buf '\n';
+            Buffer.output_buffer oc buf)
           traces);
     Printf.printf "%d sampled trace(s) written to %s (render with `flopt trace %s`)\n"
       (List.length traces) path path

@@ -119,7 +119,8 @@ let load_file ?keep_events path =
   | exception Sys_error msg -> Error (Io msg)
   | ic ->
     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        load_channel ?keep_events ic)
+        (* a directory opens fine and fails on the first read *)
+        try load_channel ?keep_events ic with Sys_error msg -> Error (Io msg))
 
 let events t = List.rev t.events_rev
 let event_count t = t.event_count

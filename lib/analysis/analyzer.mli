@@ -29,7 +29,7 @@ val sink : t -> Flo_obs.Sink.t
 val of_events : ?keep_events:bool -> Flo_obs.Event.t list -> t
 
 type load_error =
-  | Io of string  (** the file could not be opened *)
+  | Io of string  (** the file could not be opened or read (a directory) *)
   | Malformed of { line : int; msg : string }
       (** first malformed trace line (1-based) and the parse error *)
 

@@ -37,34 +37,59 @@ type request = {
   mutable disk_us : float;
 }
 
-let cache_label (layer : Event.layer) node =
-  Printf.sprintf "%s/%d" (Event.layer_to_string layer) node
-
-let emit_json buf first fmt =
+(* every event is appended field by field, numbers through the Json
+   writers; [event buf first] opens the next array element *)
+let event buf first =
   if !first then first := false else Buffer.add_char buf ',';
-  Buffer.add_string buf "\n  ";
-  Printf.ksprintf (Buffer.add_string buf) fmt
+  Buffer.add_string buf "\n  "
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf s;
+  Buffer.add_char buf '"'
+
+let add_block buf ~file ~block =
+  Buffer.add_char buf 'f';
+  Json.add_int buf file;
+  Buffer.add_string buf ":b";
+  Json.add_int buf block
+
+let constant_event buf first json =
+  event buf first;
+  Buffer.add_string buf json
+
+(* a track's name metadata, its label written by [label] *)
+let thread_name buf first ~pid ~tid label =
+  event buf first;
+  Buffer.add_string buf {|{"ph":"M","pid":|};
+  Json.add_int buf pid;
+  Buffer.add_string buf {|,"tid":|};
+  Json.add_int buf tid;
+  Buffer.add_string buf {|,"name":"thread_name","args":{"name":"|};
+  label ();
+  Buffer.add_string buf {|"}}|}
 
 let to_buffer buf events =
   Buffer.add_string buf "{\"traceEvents\": [";
   let first = ref true in
-  emit_json buf first
+  constant_event buf first
     {|{"ph":"M","pid":1,"name":"process_name","args":{"name":"requests"}}|};
-  emit_json buf first
+  constant_event buf first
     {|{"ph":"M","pid":2,"name":"process_name","args":{"name":"caches"}}|};
   let threads_seen = Hashtbl.create 16 in
-  let cache_tids = Hashtbl.create 16 in
+  let cache_tids : (Event.layer * int, int) Hashtbl.t = Hashtbl.create 16 in
   let next_cache_tid = ref 0 in
   let cache_tid layer node =
-    let key = cache_label layer node in
-    match Hashtbl.find_opt cache_tids key with
+    match Hashtbl.find_opt cache_tids (layer, node) with
     | Some tid -> tid
     | None ->
       let tid = !next_cache_tid in
       incr next_cache_tid;
-      Hashtbl.add cache_tids key tid;
-      emit_json buf first
-        {|{"ph":"M","pid":2,"tid":%d,"name":"thread_name","args":{"name":"%s"}}|} tid key;
+      Hashtbl.add cache_tids (layer, node) tid;
+      thread_name buf first ~pid:2 ~tid (fun () ->
+          Buffer.add_string buf (Event.layer_to_string layer);
+          Buffer.add_char buf '/';
+          Json.add_int buf node);
       tid
   in
   let open_requests : (int, request) Hashtbl.t = Hashtbl.create 16 in
@@ -78,28 +103,59 @@ let to_buffer buf events =
     Hashtbl.replace req_seq thread (seq + 1);
     let trace_id = Flo_obs.Trace.mint_id ~seed:0 ~stream:thread seq in
     let dur = Float.max (end_us -. r.start_us) 0.001 in
-    emit_json buf first
-      {|{"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"name":"f%d:b%d","cat":"%s","cname":"%s","args":{"file":%d,"block":%d,"outcome":"%s","trace_id":"%s","span_id":"%s"%s}}|}
-      thread r.start_us dur r.file r.block (outcome_name r.outcome)
-      (outcome_cname r.outcome) r.file r.block (outcome_name r.outcome)
-      (Flo_obs.Trace.id_to_string trace_id)
-      (Flo_obs.Trace.id_to_string (Flo_obs.Trace.span_id ~trace_id 0))
-      (if r.disk_us > 0. then Printf.sprintf {|,"disk_us":%.3f|} r.disk_us else "")
+    event buf first;
+    Buffer.add_string buf {|{"ph":"X","pid":1,"tid":|};
+    Json.add_int buf thread;
+    Buffer.add_string buf {|,"ts":|};
+    Json.add_fixed3 buf r.start_us;
+    Buffer.add_string buf {|,"dur":|};
+    Json.add_fixed3 buf dur;
+    Buffer.add_string buf {|,"name":"|};
+    add_block buf ~file:r.file ~block:r.block;
+    Buffer.add_string buf {|","cat":|};
+    add_quoted buf (outcome_name r.outcome);
+    Buffer.add_string buf {|,"cname":|};
+    add_quoted buf (outcome_cname r.outcome);
+    Buffer.add_string buf {|,"args":{"file":|};
+    Json.add_int buf r.file;
+    Buffer.add_string buf {|,"block":|};
+    Json.add_int buf r.block;
+    Buffer.add_string buf {|,"outcome":|};
+    add_quoted buf (outcome_name r.outcome);
+    Buffer.add_string buf {|,"trace_id":"|};
+    Json.add_hex64 buf trace_id;
+    Buffer.add_string buf {|","span_id":"|};
+    Json.add_hex64 buf (Flo_obs.Trace.span_id ~trace_id 0);
+    Buffer.add_char buf '"';
+    if r.disk_us > 0. then begin
+      Buffer.add_string buf {|,"disk_us":|};
+      Json.add_fixed3 buf r.disk_us
+    end;
+    Buffer.add_string buf "}}"
   in
   let instant (e : Event.t) verb =
-    emit_json buf first
-      {|{"ph":"i","pid":2,"tid":%d,"ts":%.3f,"name":"%s f%d:b%d","s":"t","args":{"thread":%d}}|}
-      (cache_tid e.Event.layer e.Event.node)
-      e.Event.time_us verb e.Event.file e.Event.block e.Event.thread
+    let tid = cache_tid e.Event.layer e.Event.node in
+    event buf first;
+    Buffer.add_string buf {|{"ph":"i","pid":2,"tid":|};
+    Json.add_int buf tid;
+    Buffer.add_string buf {|,"ts":|};
+    Json.add_fixed3 buf e.Event.time_us;
+    Buffer.add_string buf {|,"name":"|};
+    Buffer.add_string buf verb;
+    Buffer.add_char buf ' ';
+    add_block buf ~file:e.Event.file ~block:e.Event.block;
+    Buffer.add_string buf {|","s":"t","args":{"thread":|};
+    Json.add_int buf e.Event.thread;
+    Buffer.add_string buf "}}"
   in
   List.iter
     (fun (e : Event.t) ->
       let thread = e.Event.thread in
       if not (Hashtbl.mem threads_seen thread) then begin
         Hashtbl.add threads_seen thread ();
-        emit_json buf first
-          {|{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":"thread %d"}}|}
-          thread thread
+        thread_name buf first ~pid:1 ~tid:thread (fun () ->
+            Buffer.add_string buf "thread ";
+            Json.add_int buf thread)
       end;
       match e.Event.kind with
       | Event.Access ->
@@ -178,26 +234,45 @@ let traces_to_buffer buf traces =
   let module Trace = Flo_obs.Trace in
   Buffer.add_string buf "{\"traceEvents\": [";
   let first = ref true in
-  emit_json buf first
+  constant_event buf first
     {|{"ph":"M","pid":1,"name":"process_name","args":{"name":"sampled traces"}}|};
   List.iteri
     (fun tid (t : Trace.t) ->
-      emit_json buf first
-        {|{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":"%s tenant=%d %s"}}|}
-        tid (Trace.id_to_string t.Trace.trace_id) t.Trace.tenant
-        (Json.escape t.Trace.outcome);
+      let outcome = Json.escape t.Trace.outcome in
+      thread_name buf first ~pid:1 ~tid (fun () ->
+          Json.add_hex64 buf t.Trace.trace_id;
+          Buffer.add_string buf " tenant=";
+          Json.add_int buf t.Trace.tenant;
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf outcome);
       let next = ref 0 in
       let rec go (s : Trace.span) =
         let k = !next in
         incr next;
-        emit_json buf first
-          {|{"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"name":"%s","cat":"%s","args":{"trace_id":"%s","span_id":"%s","tenant":%d,"window":%d,"shard":%d,"count":%d}}|}
-          tid s.Trace.start_us
-          (Float.max s.Trace.dur_us 0.001)
-          (Json.escape s.Trace.name) (Json.escape t.Trace.outcome)
-          (Trace.id_to_string t.Trace.trace_id)
-          (Trace.id_to_string (Trace.span_id ~trace_id:t.Trace.trace_id k))
-          t.Trace.tenant t.Trace.window t.Trace.shard t.Trace.count;
+        event buf first;
+        Buffer.add_string buf {|{"ph":"X","pid":1,"tid":|};
+        Json.add_int buf tid;
+        Buffer.add_string buf {|,"ts":|};
+        Json.add_fixed3 buf s.Trace.start_us;
+        Buffer.add_string buf {|,"dur":|};
+        Json.add_fixed3 buf (Float.max s.Trace.dur_us 0.001);
+        Buffer.add_string buf {|,"name":|};
+        add_quoted buf (Json.escape s.Trace.name);
+        Buffer.add_string buf {|,"cat":|};
+        add_quoted buf outcome;
+        Buffer.add_string buf {|,"args":{"trace_id":"|};
+        Json.add_hex64 buf t.Trace.trace_id;
+        Buffer.add_string buf {|","span_id":"|};
+        Json.add_hex64 buf (Trace.span_id ~trace_id:t.Trace.trace_id k);
+        Buffer.add_string buf {|","tenant":|};
+        Json.add_int buf t.Trace.tenant;
+        Buffer.add_string buf {|,"window":|};
+        Json.add_int buf t.Trace.window;
+        Buffer.add_string buf {|,"shard":|};
+        Json.add_int buf t.Trace.shard;
+        Buffer.add_string buf {|,"count":|};
+        Json.add_int buf t.Trace.count;
+        Buffer.add_string buf "}}";
         List.iter go s.Trace.children
       in
       go t.Trace.root)

@@ -44,11 +44,25 @@ let kind_to_string = function
 let layer_to_string = function L1 -> "l1" | L2 -> "l2" | Disk -> "disk"
 
 let to_json e =
-  Printf.sprintf
-    {|{"t_us":%.3f,"kind":"%s","layer":"%s","node":%d,"thread":%d,"file":%d,"block":%d,"lat_us":%.3f}|}
-    e.time_us
-    (Json.escape (kind_to_string e.kind))
-    (layer_to_string e.layer) e.node e.thread e.file e.block e.latency_us
+  let b = Buffer.create 128 in
+  Buffer.add_string b {|{"t_us":|};
+  Json.add_fixed3 b e.time_us;
+  Buffer.add_string b {|,"kind":"|};
+  Buffer.add_string b (Json.escape (kind_to_string e.kind));
+  Buffer.add_string b {|","layer":"|};
+  Buffer.add_string b (layer_to_string e.layer);
+  Buffer.add_string b {|","node":|};
+  Json.add_int b e.node;
+  Buffer.add_string b {|,"thread":|};
+  Json.add_int b e.thread;
+  Buffer.add_string b {|,"file":|};
+  Json.add_int b e.file;
+  Buffer.add_string b {|,"block":|};
+  Json.add_int b e.block;
+  Buffer.add_string b {|,"lat_us":|};
+  Json.add_fixed3 b e.latency_us;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let kind_of_string = function
   | "access" -> Some Access

@@ -1,6 +1,7 @@
 (* The one JSON codec: the tree, a total recursive-descent parser, the
-   escaper, the compact printer, decoder combinators, and the atomic file
-   writer every saved document goes through. *)
+   escaper, the exact number writers, the compact printer, decoder
+   combinators, and the atomic file writer every saved document goes
+   through. *)
 
 type t =
   | Null
@@ -171,6 +172,7 @@ let parse s =
   v
 
 let needs_escape = function '"' | '\\' | '\x00' .. '\x1f' -> true | _ -> false
+let hex_digits = "0123456789abcdef"
 
 let escape s =
   if not (String.exists needs_escape s) then s
@@ -181,11 +183,66 @@ let escape s =
         | ('"' | '\\') as c ->
           Buffer.add_char b '\\';
           Buffer.add_char b c
-        | '\x00' .. '\x1f' as c -> Printf.bprintf b "\\u%04x" (Char.code c)
+        | '\x00' .. '\x1f' as c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex_digits.[Char.code c lsr 4];
+          Buffer.add_char b hex_digits.[Char.code c land 15]
         | c -> Buffer.add_char b c)
       s;
     Buffer.contents b
   end
+
+(* -- number writers ----------------------------------------------------- *)
+
+(* digits of [n <= 0], most significant first: negating a non-positive int
+   never overflows, so min_int needs no special case *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let add_fixed3 b x =
+  let bits = Int64.bits_of_float x in
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  (* 1073 = 1023 + 50: non-finite values and |x| >= 2^50 take printf *)
+  if biased >= 1073 then Printf.bprintf b "%.3f" x
+  else begin
+    (* |x| = m * 2^e exactly, so 1000|x| = 125m * 2^(e+3), where 125m < 2^60
+       and e + 3 <= 0: shift right by [sh], rounding half to even on the
+       exact remainder as printf does *)
+    let frac = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+    (* subnormals (biased 0) have biased 1's scale and no hidden bit *)
+    let m = if biased = 0 then frac else frac lor 0x10_0000_0000_0000 in
+    let e = max biased 1 - 1075 in
+    let v = 125 * m and sh = -(e + 3) in
+    let n =
+      if sh = 0 then v
+      else if sh >= 61 then 0 (* v < 2^60 <= half: rounds to zero *)
+      else begin
+        let q = v lsr sh and rem = v land ((1 lsl sh) - 1) and half = 1 lsl (sh - 1) in
+        if rem > half || (rem = half && q land 1 = 1) then q + 1 else q
+      end
+    in
+    if Float.sign_bit x then Buffer.add_char b '-';
+    add_neg_digits b (-(n / 1000));
+    Buffer.add_char b '.';
+    let d = n mod 1000 in
+    Buffer.add_char b (Char.unsafe_chr (48 + (d / 100)));
+    Buffer.add_char b (Char.unsafe_chr (48 + (d / 10 mod 10)));
+    Buffer.add_char b (Char.unsafe_chr (48 + (d mod 10)))
+  end
+
+let add_hex64 b id =
+  for i = 15 downto 0 do
+    Buffer.add_char b
+      hex_digits.[Int64.to_int (Int64.shift_right_logical id (4 * i)) land 15]
+  done
 
 let num_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f

@@ -1,12 +1,14 @@
 (** The JSON codec every flopt reader and writer shares: a tree, a total
-    parser, one string escaper, the compact printer, typed field accessors
-    for decoders, and the atomic file writer saved documents go through.
+    parser, one string escaper, exact number writers, the compact printer,
+    typed field accessors for decoders, and the atomic file writer saved
+    documents go through.
 
     Event traces ({!Event}), sampled request traces ({!Trace}), bench
     manifests and the bench history all decode through this one parser, so
     a byte string means the same thing in every file flopt reads.  Writers
     that format their own lines (the trace encoders, the Perfetto exporter)
-    still route every string through {!escape}. *)
+    still route every string through {!escape} and every number through
+    {!add_int}, {!add_fixed3} or {!add_hex64}. *)
 
 type t =
   | Null
@@ -37,6 +39,27 @@ val escape : string -> string
     and a backslash get a backslash, bytes below 0x20 become [\u00XX]
     (lowercase hex), and every other byte passes through.  Returns its
     argument when nothing needs escaping. *)
+
+(** {1 Number writers}
+
+    What the line encoders ({!Event.to_json}, {!Trace.to_buffer}, the
+    Perfetto exporters) append instead of formatting with [Printf].  Each
+    is exact: its bytes equal the [Printf] conversion named below on every
+    input, which a test checks on random bit patterns and edge cases. *)
+
+val add_int : Buffer.t -> int -> unit
+(** The bytes of [string_of_int n], including [min_int]. *)
+
+val add_fixed3 : Buffer.t -> float -> unit
+(** The bytes of [Printf.sprintf "%.3f" x].  For finite [|x| < 2^50] the
+    value is rounded in integer arithmetic on its exact binary expansion,
+    half to even as printf does (so [0.0625] prints [0.062]); the sign
+    comes from the sign bit, so [-0.0] prints [-0.000].  Non-finite values
+    and [|x| >= 2^50] fall back to [Printf.bprintf]. *)
+
+val add_hex64 : Buffer.t -> int64 -> unit
+(** 16 lowercase, zero-padded hex digits: the bytes of
+    [Printf.sprintf "%016Lx" id], two's complement for negative ids. *)
 
 val to_string : t -> string
 (** Compact single-line rendering; integral numbers below 1e15 in magnitude

@@ -65,7 +65,10 @@ let span_id ~trace_id k =
   if k < 0 then invalid_arg "Trace.span_id: negative index";
   mix (Int64.add trace_id (Int64.mul (Int64.of_int (k + 1)) golden))
 
-let id_to_string id = Printf.sprintf "%016Lx" id
+let id_to_string id =
+  let b = Buffer.create 16 in
+  Json.add_hex64 b id;
+  Buffer.contents b
 
 let id_of_string s =
   let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
@@ -90,11 +93,21 @@ let reason_of_string = function
   | "shed" -> Some Shed
   | _ -> None
 
-(* wire format *)
+(* wire format: appended field by field, every number through the Json
+   writers, so no trace pays for a Printf format interpretation *)
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (Json.escape s);
+  Buffer.add_char buf '"'
 
 let rec span_to_buf buf s =
-  Printf.ksprintf (Buffer.add_string buf) {|{"name":"%s","t_us":%.3f,"dur_us":%.3f|}
-    (Json.escape s.name) s.start_us s.dur_us;
+  Buffer.add_string buf {|{"name":|};
+  add_quoted buf s.name;
+  Buffer.add_string buf {|,"t_us":|};
+  Json.add_fixed3 buf s.start_us;
+  Buffer.add_string buf {|,"dur_us":|};
+  Json.add_fixed3 buf s.dur_us;
   (match s.children with
   | [] -> ()
   | children ->
@@ -107,22 +120,37 @@ let rec span_to_buf buf s =
     Buffer.add_char buf ']');
   Buffer.add_char buf '}'
 
-let to_json t =
-  let buf = Buffer.create 256 in
-  Printf.ksprintf (Buffer.add_string buf)
-    {|{"trace_id":"%s","tenant":%d,"app":"%s","window":%d,"shard":%d,"outcome":"%s","lat_us":%.3f,"count":%d,"reasons":[|}
-    (id_to_string t.trace_id) t.tenant (Json.escape t.app) t.window t.shard
-    (Json.escape t.outcome) t.latency_us t.count;
+let to_buffer buf t =
+  Buffer.add_string buf {|{"trace_id":"|};
+  Json.add_hex64 buf t.trace_id;
+  Buffer.add_string buf {|","tenant":|};
+  Json.add_int buf t.tenant;
+  Buffer.add_string buf {|,"app":|};
+  add_quoted buf t.app;
+  Buffer.add_string buf {|,"window":|};
+  Json.add_int buf t.window;
+  Buffer.add_string buf {|,"shard":|};
+  Json.add_int buf t.shard;
+  Buffer.add_string buf {|,"outcome":|};
+  add_quoted buf t.outcome;
+  Buffer.add_string buf {|,"lat_us":|};
+  Json.add_fixed3 buf t.latency_us;
+  Buffer.add_string buf {|,"count":|};
+  Json.add_int buf t.count;
+  Buffer.add_string buf {|,"reasons":[|};
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (reason_to_string r);
-      Buffer.add_char buf '"')
+      add_quoted buf (reason_to_string r))
     t.reasons;
   Buffer.add_string buf {|],"root":|};
   span_to_buf buf t.root;
-  Buffer.add_char buf '}';
+  Buffer.add_char buf '}'
+
+(* a mean trace encodes to ~480 bytes, so the buffer rarely grows *)
+let to_json t =
+  let buf = Buffer.create 512 in
+  to_buffer buf t;
   Buffer.contents buf
 
 let of_json line =

@@ -92,7 +92,12 @@ val reason_of_string : string -> reason option
 val to_json : t -> string
 (** One-line JSON object (no trailing newline); spans nest as [children]
     arrays.  Line order in a trace file is the engine's merge order (shard
-    order), which is what makes files byte-comparable across [--jobs]. *)
+    order), which is what makes files byte-comparable across [--jobs].
+    Times print with exactly three decimals ({!Json.add_fixed3}). *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append {!to_json}'s bytes to a buffer — what a file writer reuses one
+    buffer across traces with. *)
 
 val of_json : string -> (t, string) result
 (** Inverse of {!to_json}, decoded with {!Json.parse}.  Tolerates any field

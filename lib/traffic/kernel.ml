@@ -67,120 +67,187 @@ let classes_of_histogram h =
    miss, then the disk phase's extra+service chain, then per-prefetch
    transfer charges) — so each reconstructed latency lands in exactly the
    bucket the run's request_latency_us histogram counted it in, and the
-   per-class breakdowns line up with [classes] by construction. *)
+   per-class breakdowns line up with [classes] by construction.
+
+   It is flat: one reusable request state per thread, steps kept as (stage,
+   us) pairs in growable arrays, and a [step list] built only for a request
+   that becomes its bucket's new representative — so a request costs no
+   allocation beyond its events' own unless it takes over a bucket. *)
+
+(* what a step charged; constant constructors, so recording one into a
+   [stage array] is a plain int store *)
+type stage =
+  | L1_hit
+  | L1_miss
+  | L2_hit
+  | L2_miss
+  | Disk_read
+  | Disk_fault
+  | Disk_retry
+  | Disk_timeout
+  | Disk_failover
+  | L2_prefetch
+
+let stage_name = function
+  | L1_hit -> "l1.hit"
+  | L1_miss -> "l1.miss"
+  | L2_hit -> "l2.hit"
+  | L2_miss -> "l2.miss"
+  | Disk_read -> "disk.read"
+  | Disk_fault -> "disk.fault"
+  | Disk_retry -> "disk.retry"
+  | Disk_timeout -> "disk.timeout"
+  | Disk_failover -> "disk.failover"
+  | L2_prefetch -> "l2.prefetch"
+
+(* all-float, so the running sums update in place without boxing *)
+type sums = { mutable cost : float; mutable service : float  (** disk-phase accumulator *) }
 
 type open_req = {
-  mutable cost : float;
-  mutable steps_rev : step list;
-  mutable service : float;  (** disk-phase accumulator, folded in event order *)
+  mutable active : bool;
+  sums : sums;
   mutable in_service : bool;
   mutable flushed : bool;  (** service already folded into [cost] *)
   mutable faulty : bool;
+  mutable steps : int;
+  mutable stages : stage array;
+  mutable us : float array;  (** each step's charge *)
 }
 
 let profile_collector ~(costs : Flo_storage.Hierarchy.costs) ~prefetch_charge_us ~shape
     =
-  let open_reqs : (int, open_req) Hashtbl.t = Hashtbl.create 64 in
-  let buckets = Array.make (Flo_obs.Histogram.bucket_count shape) None in
+  let reqs = ref [||] in
+  (* per histogram bucket: the representative so far, and the faulty count *)
+  let nb = Flo_obs.Histogram.bucket_count shape in
+  let rep_latency = Array.make nb 0. and rep_steps = Array.make nb None in
+  let faulty = Array.make nb 0 in
   let flush_service r =
     if r.in_service && not r.flushed then begin
-      r.cost <- r.cost +. r.service;
+      r.sums.cost <- r.sums.cost +. r.sums.service;
       r.flushed <- true
     end
   in
+  let steps_of r =
+    let rec go k acc =
+      if k < 0 then acc
+      else go (k - 1) ({ step_name = stage_name r.stages.(k); step_us = r.us.(k) } :: acc)
+    in
+    go (r.steps - 1) []
+  in
   let finalize r =
     flush_service r;
-    let i = Flo_obs.Histogram.value_index shape r.cost in
-    let faulty = if r.faulty then 1 else 0 in
-    buckets.(i) <-
-      (match buckets.(i) with
-      | None ->
-        Some { rep_latency_us = r.cost; rep_steps = List.rev r.steps_rev; faulty }
-      | Some p ->
-        (* the class representative is the max-latency request; ties keep
-           the first seen, so the choice is stable in replay order *)
-        Some
-          (if r.cost > p.rep_latency_us then
-             {
-               rep_latency_us = r.cost;
-               rep_steps = List.rev r.steps_rev;
-               faulty = p.faulty + faulty;
-             }
-           else { p with faulty = p.faulty + faulty }))
+    r.active <- false;
+    let cost = r.sums.cost in
+    let i = Flo_obs.Histogram.value_index shape cost in
+    (* the class representative is the max-latency request; ties keep the
+       first seen, so the choice is stable in replay order *)
+    if Option.is_none rep_steps.(i) || cost > rep_latency.(i) then begin
+      rep_latency.(i) <- cost;
+      rep_steps.(i) <- Some (steps_of r)
+    end;
+    if r.faulty then faulty.(i) <- faulty.(i) + 1
+  in
+  let start thread =
+    if thread >= Array.length !reqs then begin
+      let grown =
+        Array.init (max (thread + 1) (2 * Array.length !reqs)) (fun _ ->
+            {
+              active = false;
+              sums = { cost = 0.; service = 0. };
+              in_service = false;
+              flushed = false;
+              faulty = false;
+              steps = 0;
+              stages = Array.make 16 L1_hit;
+              us = Array.make 16 0.;
+            })
+      in
+      Array.blit !reqs 0 grown 0 (Array.length !reqs);
+      reqs := grown
+    end;
+    let r = !reqs.(thread) in
+    if r.active then finalize r;
+    r.active <- true;
+    r.sums.cost <- costs.Flo_storage.Hierarchy.l1_hit_us;
+    r.sums.service <- 0.;
+    r.in_service <- false;
+    r.flushed <- false;
+    r.faulty <- false;
+    r.steps <- 0
+  in
+  let step r stage us =
+    if r.steps = Array.length r.stages then begin
+      let n = 2 * r.steps in
+      let stages = Array.make n L1_hit and us' = Array.make n 0. in
+      Array.blit r.stages 0 stages 0 r.steps;
+      Array.blit r.us 0 us' 0 r.steps;
+      r.stages <- stages;
+      r.us <- us'
+    end;
+    r.stages.(r.steps) <- stage;
+    r.us.(r.steps) <- us;
+    r.steps <- r.steps + 1
   in
   let feed (e : Flo_obs.Event.t) =
     let thread = e.Flo_obs.Event.thread in
     match e.Flo_obs.Event.kind with
-    | Flo_obs.Event.Access ->
-      (match Hashtbl.find_opt open_reqs thread with
-      | Some r ->
-        finalize r;
-        Hashtbl.remove open_reqs thread
-      | None -> ());
-      Hashtbl.add open_reqs thread
-        {
-          cost = costs.Flo_storage.Hierarchy.l1_hit_us;
-          steps_rev = [];
-          service = 0.;
-          in_service = false;
-          flushed = false;
-          faulty = false;
-        }
-    | kind -> (
-      match Hashtbl.find_opt open_reqs thread with
-      | None -> ()  (* install/eviction noise outside any open request *)
-      | Some r ->
-        let step name us = r.steps_rev <- { step_name = name; step_us = us } :: r.steps_rev in
+    | Flo_obs.Event.Access -> start thread
+    | kind ->
+      if thread < Array.length !reqs && !reqs.(thread).active then begin
+        (* events outside an open request are install/eviction noise *)
+        let r = !reqs.(thread) in
         let lat = e.Flo_obs.Event.latency_us in
-        (match (kind, e.Flo_obs.Event.layer) with
+        match (kind, e.Flo_obs.Event.layer) with
         | Flo_obs.Event.Hit, Flo_obs.Event.L1 ->
-          step "l1.hit" costs.Flo_storage.Hierarchy.l1_hit_us
+          step r L1_hit costs.Flo_storage.Hierarchy.l1_hit_us
         | Flo_obs.Event.Miss, Flo_obs.Event.L1 ->
-          step "l1.miss" costs.Flo_storage.Hierarchy.l1_hit_us;
-          r.cost <- r.cost +. costs.Flo_storage.Hierarchy.l2_hit_us
+          step r L1_miss costs.Flo_storage.Hierarchy.l1_hit_us;
+          r.sums.cost <- r.sums.cost +. costs.Flo_storage.Hierarchy.l2_hit_us
         | Flo_obs.Event.Hit, Flo_obs.Event.L2 ->
-          step "l2.hit" costs.Flo_storage.Hierarchy.l2_hit_us
+          step r L2_hit costs.Flo_storage.Hierarchy.l2_hit_us
         | Flo_obs.Event.Miss, Flo_obs.Event.L2 ->
-          step "l2.miss" costs.Flo_storage.Hierarchy.l2_hit_us;
+          step r L2_miss costs.Flo_storage.Hierarchy.l2_hit_us;
           r.in_service <- true
         | Flo_obs.Event.Disk_read, _ ->
-          step "disk.read" lat;
-          r.service <- r.service +. lat
+          step r Disk_read lat;
+          r.sums.service <- r.sums.service +. lat
         | Flo_obs.Event.Fault, _ ->
-          step "disk.fault" lat;
-          r.service <- r.service +. lat;
+          step r Disk_fault lat;
+          r.sums.service <- r.sums.service +. lat;
           r.faulty <- true
         | Flo_obs.Event.Retry, _ ->
-          step "disk.retry" lat;
-          r.service <- r.service +. lat;
+          step r Disk_retry lat;
+          r.sums.service <- r.sums.service +. lat;
           r.faulty <- true
         | Flo_obs.Event.Timeout, _ ->
-          step "disk.timeout" 0.;
+          step r Disk_timeout 0.;
           r.faulty <- true
         | Flo_obs.Event.Failover, _ ->
-          step "disk.failover" lat;
-          r.service <- r.service +. lat;
+          step r Disk_failover lat;
+          r.sums.service <- r.sums.service +. lat;
           r.faulty <- true
         | Flo_obs.Event.Prefetch, _ ->
           (* readahead transfer shares are charged after the disk phase *)
           flush_service r;
-          step "l2.prefetch" prefetch_charge_us;
-          r.cost <- r.cost +. prefetch_charge_us
+          step r L2_prefetch prefetch_charge_us;
+          r.sums.cost <- r.sums.cost +. prefetch_charge_us
         | ( ( Flo_obs.Event.Access | Flo_obs.Event.Evict | Flo_obs.Event.Demote
             | Flo_obs.Event.Other _ ),
             _ )
         | (Flo_obs.Event.Hit | Flo_obs.Event.Miss), Flo_obs.Event.Disk ->
-          ()))
+          ()
+      end
   in
-  let flush () =
-    (* finalize still-open tail requests in thread order — Hashtbl order is
-       seed-dependent, replay order is not *)
-    Hashtbl.fold (fun thread r acc -> (thread, r) :: acc) open_reqs []
-    |> List.sort compare
-    |> List.iter (fun (_, r) -> finalize r);
-    Hashtbl.reset open_reqs
+  (* still-open tail requests finalize in thread order *)
+  let flush () = Array.iter (fun r -> if r.active then finalize r) !reqs in
+  let representatives () =
+    Array.init nb (fun i ->
+        Option.map
+          (fun steps ->
+            { rep_latency_us = rep_latency.(i); rep_steps = steps; faulty = faulty.(i) })
+          rep_steps.(i))
   in
-  ({ Flo_obs.Sink.emit = feed; flush }, buckets)
+  ({ Flo_obs.Sink.emit = feed; flush }, representatives)
 
 (* align captured buckets with {!classes_of_histogram}'s nonzero-bucket
    order, so [profiles.(i)] describes [classes.(i)] *)
@@ -240,7 +307,7 @@ let compile ?(sample = 1) ?(faults = Flo_faults.Fault_plan.empty) ?(profile = fa
   let profiles =
     match (collector, h) with
     | Some (_, buckets, shape), Some h when Flo_obs.Histogram.same_shape shape h ->
-      profiles_of_buckets h buckets
+      profiles_of_buckets h (buckets ())
     | _ -> [||]
   in
   {

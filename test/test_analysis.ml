@@ -404,7 +404,11 @@ let test_analyzer_error_reporting () =
   | Ok _ -> Alcotest.fail "malformed line accepted"
   | Error (A.Malformed { line; _ }) -> check "line number reported" 3 line
   | Error (A.Io msg) -> Alcotest.failf "expected Malformed, got Io: %s" msg);
-  Sys.remove path
+  Sys.remove path;
+  (* a directory opens but cannot be read: an I/O error, not an exception *)
+  match A.load_file (Filename.dirname path) with
+  | Error (A.Io _) -> ()
+  | Ok _ | Error (A.Malformed _) -> Alcotest.fail "directory loaded as a trace"
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_sharing_matrix_laws; prop_locality_counting_law ]

@@ -760,6 +760,89 @@ let suite =
   ]
   @ qsuite
 
+(* ---- number writers ----------------------------------------------------- *)
+
+(* the line encoders' writers must reproduce printf byte for byte; each law
+   compares against the Printf conversion it replaces *)
+let written add x =
+  let b = Buffer.create 32 in
+  add b x;
+  Buffer.contents b
+
+let fixed3_agrees x = written Json.add_fixed3 x = Printf.sprintf "%.3f" x
+
+(* finite values around the three decimals that matter: a 53-bit mantissa
+   scaled into [2^-24, 2^56), so the fast path, its 2^50 fallback edge and
+   values that round to zero are all drawn *)
+let scaled_gen =
+  QCheck.Gen.(
+    map2
+      (fun m e -> Float.ldexp (Int64.to_float (Int64.shift_right_logical m 11)) (e - 53))
+      ui64 (int_range (-24) 56))
+
+(* exact binary ties and near-ties: k / 2^j for j <= 12 has at most 12
+   fraction bits, so k / 2^j * 1000 can land exactly on .5 *)
+let tie_gen =
+  QCheck.Gen.(
+    map2 (fun k j -> Float.ldexp (float_of_int k) (-j)) (int_range (-1_000_000) 1_000_000)
+      (int_range 0 12))
+
+let prop_fixed3_bits =
+  QCheck.Test.make ~count:5000 ~name:"Json.add_fixed3 = %.3f on random bit patterns"
+    (QCheck.make ~print:(Printf.sprintf "%h") QCheck.Gen.(map Int64.float_of_bits ui64))
+    fixed3_agrees
+
+let prop_fixed3_scaled =
+  QCheck.Test.make ~count:5000 ~name:"Json.add_fixed3 = %.3f on scaled mantissas"
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(map2 (fun x neg -> if neg then -.x else x) scaled_gen bool))
+    fixed3_agrees
+
+let prop_fixed3_ties =
+  QCheck.Test.make ~count:5000 ~name:"Json.add_fixed3 = %.3f on exact ties k/2^j"
+    (QCheck.make ~print:(Printf.sprintf "%h") tie_gen)
+    fixed3_agrees
+
+let test_writer_edges () =
+  (* the escaper's control-byte form is the \u%04x it replaced *)
+  for c = 0 to 0x1f do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string) (Printf.sprintf "escape byte %d" c) (Printf.sprintf "\\u%04x" c)
+      (Json.escape s)
+  done;
+  let edges =
+    [ 0.; -0.; 0.0625; -0.0625; 0.0005; 0.0015; 0.0025; 1e-3; 0.9995; 999.9995;
+      Float.min_float; -.Float.min_float; 4e-324; -4e-324; Float.epsilon;
+      0x1p50; -0x1p50; Float.pred 0x1p50; -.Float.pred 0x1p50; Float.succ 0x1p50;
+      0x1p53; 1e300; Float.max_float; -.Float.max_float; Float.infinity;
+      Float.neg_infinity; Float.nan; -.Float.nan ]
+  in
+  (* every k * 0.0005 up to 1000 sits on or next to a decimal tie *)
+  let halves = List.init 2_000_001 (fun k -> float_of_int (k - 1_000_000) *. 0.0005) in
+  let sixteenths = List.init 4097 (fun k -> Float.ldexp (float_of_int k) (-12)) in
+  List.iter
+    (fun x ->
+      if not (fixed3_agrees x) then
+        Alcotest.failf "add_fixed3 %h: got %s, printf %s" x (written Json.add_fixed3 x)
+          (Printf.sprintf "%.3f" x))
+    (edges @ halves @ sixteenths)
+
+let prop_add_int =
+  QCheck.Test.make ~count:2000 ~name:"Json.add_int = string_of_int"
+    QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; 9; 10; -10; min_int; max_int ] ])
+    (fun n -> written Json.add_int n = string_of_int n)
+
+let prop_add_hex64 =
+  QCheck.Test.make ~count:2000 ~name:"Json.add_hex64 = %016Lx"
+    QCheck.(oneof [ int64; oneofl [ 0L; 1L; -1L; 15L; 16L; Int64.min_int; Int64.max_int ] ])
+    (fun id -> written Json.add_hex64 id = Printf.sprintf "%016Lx" id)
+
+let suite =
+  suite
+  @ [ ("json writers match printf on edges and ties", `Quick, test_writer_edges) ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_fixed3_bits; prop_fixed3_scaled; prop_fixed3_ties; prop_add_int; prop_add_hex64 ]
+
 (* ---- gauges -------------------------------------------------------------- *)
 
 (* last-write-wins cell semantics plus the merge and render contracts the

@@ -482,18 +482,20 @@ let test_controls_off_identity () =
     (Engine.simulate ~jobs:test_jobs ~config:small_config p)
 
 (* priority shedding, a breaker on node 0 and retry suppression together *)
+let controls_on_run =
+  lazy
+    (Engine.simulate ~jobs:test_jobs ~config:small_config
+       {
+         (overload_params ~shed:(Some Overload.Priority) ~capacity:100.
+            ~breaker:{ spec with Breaker.node = Some 0 } ())
+         with
+         Engine.windows = 6;
+         faults = golden_faults "read-error:rate=0.3,node=0;retry:max=3,base=20000";
+         trace = golden_trace;
+       })
+
 let test_controls_on_golden () =
-  let p =
-    {
-      (overload_params ~shed:(Some Overload.Priority) ~capacity:100.
-         ~breaker:{ spec with Breaker.node = Some 0 } ())
-      with
-      Engine.windows = 6;
-      faults = golden_faults "read-error:rate=0.3,node=0;retry:max=3,base=20000";
-      trace = golden_trace;
-    }
-  in
-  let r = Engine.simulate ~jobs:test_jobs ~config:small_config p in
+  let r = Lazy.force controls_on_run in
   let ol = Option.get r.Engine.overload in
   checkb "retry suppression fired" true (ol.Engine.ol_retry_suppressed_windows > 0);
   checkb "something was shed" true (ol.Engine.ol_shed_requests > 0);
@@ -503,6 +505,14 @@ let test_controls_on_golden () =
             match c.Engine.aw_breaker with Some (Breaker.Open _) -> true | _ -> false))
        ol.Engine.ol_admissions);
   check_golden "golden_traffic_overload.expected" r
+
+(* the Perfetto export of the same run's traces, pinned byte for byte: the
+   golden's trace md5 covers the JSONL encoder, this one the exporter *)
+let test_controls_on_perfetto_digest () =
+  let r = Lazy.force controls_on_run in
+  let json = Flo_analysis.Perfetto.json_of_traces r.Engine.traces in
+  check_str "perfetto export md5" "7ed2349e8d351de1da029162e435574e"
+    (Digest.to_hex (Digest.string json))
 
 let suite =
   [
@@ -519,6 +529,7 @@ let suite =
     ("seed determinism", `Quick, test_overload_seed_deterministic);
     ("controls-off identity", `Quick, test_controls_off_identity);
     ("controls-on golden", `Quick, test_controls_on_golden);
+    ("controls-on golden perfetto export", `Quick, test_controls_on_perfetto_digest);
     QCheck_alcotest.to_alcotest prop_split_laws;
     QCheck_alcotest.to_alcotest prop_overload_jobs_equivalence;
     QCheck_alcotest.to_alcotest prop_served_cells_agree;

@@ -267,6 +267,84 @@ let test_kernel_compile_shapes () =
         k.Kernel.classes)
     [ Kernel.Default; Kernel.Inter ]
 
+(* Byte gate on the tracing collector: every profiled kernel of the suite
+   at sample 8, fault-free, under the overload-storm fault plan, and under
+   that plan's retry-suppressed (fail-fast) variant.  The digest covers each
+   representative's latency and step durations at full precision, its step
+   names and the class's faulty count, so a change to the collector's
+   arithmetic, step order, tie rule or flush order shows up here. *)
+let storm_plan =
+  match Flo_faults.Fault_plan.of_string "read-error:rate=0.05;retry:max=3,base=20000" with
+  | Ok p -> Flo_faults.Fault_plan.with_seed p 42
+  | Error e -> failwith e
+
+let profile_settings =
+  let retry = storm_plan.Flo_faults.Fault_plan.retry in
+  [
+    ("fault-free", Flo_faults.Fault_plan.empty, "44c6f15dd65852ead1c8281c6935f377");
+    ("storm", storm_plan, "50a012c889a182438bcbb2ac80b3ff0f");
+    ( "storm, retries suppressed",
+      { storm_plan with
+        Flo_faults.Fault_plan.retry = { retry with Flo_faults.Retry.max_retries = 0 } },
+      "e0bd9b0279253f9f008128a7bb3eff98" );
+  ]
+
+let render_profiles b (k : Kernel.t) =
+  Printf.bprintf b "%s %s classes=%d\n" k.Kernel.app (Kernel.mode_to_string k.Kernel.mode)
+    (Array.length k.Kernel.classes);
+  Array.iteri
+    (fun i p ->
+      match p with
+      | None -> Printf.bprintf b "  %d none\n" i
+      | Some (p : Kernel.profile) ->
+        Printf.bprintf b "  %d rep=%.17g faulty=%d" i p.Kernel.rep_latency_us p.Kernel.faulty;
+        List.iter
+          (fun s -> Printf.bprintf b " %s=%.17g" s.Kernel.step_name s.Kernel.step_us)
+          p.Kernel.rep_steps;
+        Buffer.add_char b '\n')
+    k.Kernel.profiles
+
+let test_kernel_profiles_pinned () =
+  let config = Flo_engine.Config.default in
+  let shape = Flo_obs.Histogram.create () in
+  let tasks =
+    Array.of_list
+      (List.concat_map
+         (fun app -> [ (app, Kernel.Default); (app, Kernel.Inter) ])
+         Flo_workloads.Suite.all)
+  in
+  List.iter
+    (fun (name, faults, expected) ->
+      let kernels =
+        Flo_engine.Parallel.map ~jobs:test_jobs
+          (fun (app, mode) -> Kernel.compile ~sample:8 ~faults ~profile:true ~config ~mode app)
+          tasks
+      in
+      let b = Buffer.create 65536 in
+      Array.iter
+        (fun (k : Kernel.t) ->
+          let where = Printf.sprintf "%s %s (%s)" k.Kernel.app
+              (Kernel.mode_to_string k.Kernel.mode) name in
+          (* alignment law: one profile per class, and each representative
+             lies in the bucket its class stands for *)
+          check_int (where ^ ": one profile per class") (Array.length k.Kernel.classes)
+            (Array.length k.Kernel.profiles);
+          Array.iteri
+            (fun i p ->
+              match p with
+              | None -> Alcotest.failf "%s: class %d has no representative" where i
+              | Some (p : Kernel.profile) ->
+                check_int
+                  (Printf.sprintf "%s: class %d representative in its bucket" where i)
+                  (Flo_obs.Histogram.value_index shape k.Kernel.classes.(i).Kernel.latency_us)
+                  (Flo_obs.Histogram.value_index shape p.Kernel.rep_latency_us))
+            k.Kernel.profiles;
+          render_profiles b k)
+        kernels;
+      check_str (name ^ ": profile digest") expected
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    profile_settings
+
 let prop_apportion_sums_exactly =
   QCheck.Test.make ~count:100
     ~name:"kernel: apportionment sums exactly to the request count"
@@ -483,6 +561,7 @@ let suite =
     ("simulate replay-exact", `Quick, test_simulate_replay_exact);
     ("substreams enumeration-independent", `Quick, test_substreams_enumeration_independent);
     ("kernel compile shapes", `Quick, test_kernel_compile_shapes);
+    ("kernel profiles pinned (16-app suite)", `Slow, test_kernel_profiles_pinned);
     ("degenerate reports render", `Quick, test_degenerate_reports_render);
     ("params validation", `Quick, test_validate_rejects_bad_params);
     ("metrics counters recorded", `Quick, test_metrics_counters_recorded);
