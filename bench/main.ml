@@ -580,14 +580,24 @@ let compile_bench () =
 
 (* ---- json: machine-readable trajectory manifest (Bench_schema) --------------------------- *)
 
+(* an unwritable output path is a usage error, like the CLI's
+   `flopt: cannot write` *)
+let write_or_exit ~cmd path write =
+  try write ()
+  with Sys_error msg ->
+    Printf.eprintf "bench %s: cannot write %s: %s\n" cmd path msg;
+    exit 2
+
 (* `bench -- json --out FILE [--apps a,b] [--sample N] [--jobs N]` records
-   the headline numbers of this invocation as a flopt-bench manifest for
-   `flopt bench-diff`.  Deterministic modeled quantities are gated (CI
-   compares them against bench/baseline.json); bechamel wall times ride
-   along ungated.  Collection fans over apps on a domain pool (Bench_json);
-   with --jobs > 1 the gated metrics are re-collected at --jobs 1 and the
-   two must agree exactly — the determinism self-check — and the suite
-   wall-clock speedup is recorded ungated. *)
+   the deterministic numbers of this invocation as a flopt-bench manifest
+   for `flopt bench-diff`.  Per-app modeled quantities are gated (CI
+   compares them against bench/baseline.json); the traffic, SLO, trace and
+   overload numbers ride along ungated as trajectory data.  Nothing here
+   reads a clock — wall time is bench/perf's — so the manifest is
+   byte-identical across runs and --jobs values.  Collection fans over apps
+   on a domain pool (Bench_json); with --jobs > 1 the per-app metrics are
+   re-collected at --jobs 1 and the two must agree exactly — the
+   determinism self-check. *)
 let json_mode args =
   let out = ref None and app_filter = ref None and sample = ref 1 in
   let jobs = ref (Parallel.default_jobs ()) in
@@ -639,133 +649,72 @@ let json_mode args =
         names
   in
   let sample = !sample and jobs = !jobs in
-  let wall_per_invocation app layouts =
-    (* one ungated wall-time point per app: the modeled run, best of 3 timed
-       passes (machine-dependent by construction).  Not bechamel: its
-       live-word stabilization cannot run while other domains are active,
-       and this hook executes inside the --jobs worker pool *)
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Run.run ~sample ~config ~layouts app);
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9
-  in
   let collect jobs =
-    let t0 = Unix.gettimeofday () in
-    let m =
-      Bench_json.collect ~jobs ~sample ~wall_ns_inter:wall_per_invocation
-        ~progress:(fun name -> Printf.eprintf "bench json: %s...\n%!" name)
-        ~config selected
-    in
-    (m, Unix.gettimeofday () -. t0)
+    Bench_json.collect ~jobs ~sample
+      ~progress:(fun name -> Printf.eprintf "bench json: %s...\n%!" name)
+      ~config selected
   in
-  let manifest, par_wall = collect jobs in
-  let suite_metrics =
-    let m ~name ~value ~unit_ =
-      { Bench_schema.app = "_suite"; name; value; unit_; gated = false }
-    in
-    if jobs <= 1 then [ m ~name:"suite_wall_s.seq" ~value:par_wall ~unit_:"s" ]
-    else begin
-      Printf.eprintf "bench json: re-collecting at --jobs 1 (determinism check)...\n%!";
-      let seq_manifest, seq_wall = collect 1 in
-      if not (Bench_json.equal_gated manifest seq_manifest) then begin
-        Printf.eprintf
-          "bench json: gated metrics differ between --jobs %d and --jobs 1\n" jobs;
-        exit 1
-      end;
-      Printf.eprintf "bench json: gated metrics identical across jobs settings\n%!";
+  let manifest = collect jobs in
+  if jobs > 1 then begin
+    Printf.eprintf "bench json: re-collecting at --jobs 1 (determinism check)...\n%!";
+    if collect 1 <> manifest then begin
+      Printf.eprintf "bench json: gated metrics differ between --jobs %d and --jobs 1\n"
+        jobs;
+      exit 1
+    end;
+    Printf.eprintf "bench json: gated metrics identical across jobs settings\n%!"
+  end;
+  let ungated app metrics =
+    List.map
+      (fun (name, value, unit_) -> { Bench_schema.app; name; value; unit_; gated = false })
+      metrics
+  in
+  let traffic_params =
+    (* 8 windows so the ride-along SLO metrics see real multi-window
+       behavior instead of the degenerate single-window verdict *)
+    { (Flo_traffic.Engine.default_params ~mix:selected) with
+      Flo_traffic.Engine.sample; windows = 8 }
+  in
+  Printf.eprintf "bench json: traffic engine...\n%!";
+  let traffic = Flo_traffic.Engine.simulate ~jobs ~config traffic_params in
+  let traffic_metrics =
+    ungated "_traffic"
       [
-        m ~name:"suite_wall_s.seq" ~value:seq_wall ~unit_:"s";
-        m ~name:(Printf.sprintf "suite_wall_s.jobs%d" jobs) ~value:par_wall ~unit_:"s";
-        m ~name:"suite_speedup" ~value:(seq_wall /. Float.max 1e-9 par_wall) ~unit_:"x";
+        ( "modeled_requests",
+          float_of_int traffic.Flo_traffic.Engine.total_requests, "req" );
       ]
-    end
   in
-  let traffic_metrics, traffic_result, traffic_wall =
-    (* ungated traffic-engine numbers: the batched multi-tenant replay
-       (Flo_traffic) against the per-element simulate loop it replaces.
-       All wall-clock, so never gated; the modeled request count rides
-       along for scale context. *)
-    Printf.eprintf "bench json: traffic engine...\n%!";
-    let params =
-      (* 8 windows so the ride-along SLO metrics see real multi-window
-         behavior instead of the degenerate single-window verdict *)
-      { (Flo_traffic.Engine.default_params ~mix:selected) with
-        Flo_traffic.Engine.sample; windows = 8 }
-    in
-    let t0 = Unix.gettimeofday () in
-    let result = Flo_traffic.Engine.simulate ~jobs ~config params in
-    let tenant_wall = Unix.gettimeofday () -. t0 in
-    (* loop baseline: modeled requests per wall second of one closed-loop
-       per-element run of the head app (what a tenant job costs without
-       kernel batching) *)
-    let head = List.hd selected in
-    let layouts = Experiment.inter_layouts config head in
-    let l0 = Unix.gettimeofday () in
-    let r = Run.run ~sample ~config ~layouts head in
-    let loop_wall = Unix.gettimeofday () -. l0 in
-    let loop_rps = float_of_int r.Run.block_requests /. Float.max 1e-9 loop_wall in
-    let modeled_rps = result.Flo_traffic.Engine.modeled_rps in
-    let m ~name ~value ~unit_ =
-      { Bench_schema.app = "_traffic"; name; value; unit_; gated = false }
-    in
-    let slo_metrics =
-      (* fleet SLO health of the same run: deterministic and jobs-invariant,
-         but trajectory data (it moves whenever the modeled engine is meant
-         to improve), so ungated like the rest of the traffic numbers *)
-      match Flo_obs.Slo.parse "p99<100ms@99" with
-      | Error _ -> []
-      | Ok spec ->
-        let e = Flo_traffic.Slo_eval.evaluate spec result in
-        let v = e.Flo_traffic.Slo_eval.fleet.Flo_traffic.Slo_eval.verdict in
-        let s ~name ~value ~unit_ =
-          { Bench_schema.app = "_slo"; name; value; unit_; gated = false }
-        in
+  let slo_metrics =
+    (* fleet SLO health of the same run: trajectory data (it moves whenever
+       the modeled engine is meant to improve).  The threshold sits inside
+       the run's spread of window p99s, so burn rate and compliance are
+       neither pinned at their worst nor at their best *)
+    match Flo_obs.Slo.parse "p99<1200ms@99" with
+    | Error _ -> []
+    | Ok spec ->
+      let e = Flo_traffic.Slo_eval.evaluate spec traffic in
+      let v = e.Flo_traffic.Slo_eval.fleet.Flo_traffic.Slo_eval.verdict in
+      ungated "_slo"
         [
-          s ~name:"fleet_burn_rate" ~value:v.Flo_obs.Slo.burn_rate ~unit_:"x";
-          s ~name:"fleet_budget_remaining" ~value:v.Flo_obs.Slo.budget_remaining
-            ~unit_:"frac";
-          s ~name:"fleet_compliance" ~value:v.Flo_obs.Slo.compliance ~unit_:"frac";
+          ("fleet_burn_rate", v.Flo_obs.Slo.burn_rate, "x");
+          ("fleet_budget_remaining", v.Flo_obs.Slo.budget_remaining, "frac");
+          ("fleet_compliance", v.Flo_obs.Slo.compliance, "frac");
         ]
-    in
-    [
-      m ~name:"modeled_requests"
-        ~value:(float_of_int result.Flo_traffic.Engine.total_requests)
-        ~unit_:"req";
-      m ~name:"modeled_rps" ~value:modeled_rps ~unit_:"req/s";
-      m ~name:"tenant_wall_s" ~value:tenant_wall ~unit_:"s";
-      m ~name:"loop_rps" ~value:loop_rps ~unit_:"req/s";
-      m ~name:"speedup_vs_loop" ~value:(modeled_rps /. Float.max 1e-9 loop_rps)
-        ~unit_:"x";
-    ]
-    @ slo_metrics,
-    result, tenant_wall
   in
   let trace_metrics =
-    (* ungated sampled-tracing numbers: re-run the same traffic params with
-       tracing on and report what the sampler kept plus the wall-clock cost
-       of the observation sweep.  The modeled numbers of the traced run must
-       be byte-identical to the untraced run above — tracing only ever adds
-       exemplars, never counts — so the verdict lines are compared here and
-       any divergence aborts the bench. *)
+    (* sampled tracing: re-run the same traffic params with tracing on and
+       report what the sampler kept.  The modeled numbers of the traced run
+       must be byte-identical to the untraced run above — tracing only ever
+       adds exemplars, never counts — so the verdict lines are compared here
+       and any divergence aborts the bench. *)
     Printf.eprintf "bench json: traffic engine (traced)...\n%!";
     let params =
-      (* 8 windows so the ride-along SLO metrics see real multi-window
-         behavior instead of the degenerate single-window verdict *)
-      { (Flo_traffic.Engine.default_params ~mix:selected) with
-        Flo_traffic.Engine.sample; windows = 8;
-        trace =
-          Some
-            { Flo_traffic.Tracer.default with
-              Flo_traffic.Tracer.sample_rate = 4096 } }
+      { traffic_params with
+        Flo_traffic.Engine.trace =
+          Some { Flo_traffic.Tracer.default with Flo_traffic.Tracer.sample_rate = 4096 } }
     in
-    let t0 = Unix.gettimeofday () in
     let traced = Flo_traffic.Engine.simulate ~jobs ~config params in
-    let traced_wall = Unix.gettimeofday () -. t0 in
-    let untraced_line = Flo_traffic.Traffic_report.verdict_line traffic_result in
+    let untraced_line = Flo_traffic.Traffic_report.verdict_line traffic in
     let traced_line = Flo_traffic.Traffic_report.verdict_line traced in
     if untraced_line <> traced_line then begin
       Printf.eprintf
@@ -775,89 +724,22 @@ let json_mode args =
     end;
     Printf.eprintf "bench json: traced modeled numbers identical to untraced\n%!";
     let traces = traced.Flo_traffic.Engine.traces in
-    let represented =
-      List.fold_left (fun a (t : Flo_obs.Trace.t) -> a + t.Flo_obs.Trace.count) 0
-        traces
-    in
-    let spans =
-      List.fold_left (fun a t -> a + Flo_obs.Trace.span_count t) 0 traces
-    in
-    let m ~name ~value ~unit_ =
-      { Bench_schema.app = "_trace"; name; value; unit_; gated = false }
-    in
-    [
-      m ~name:"sampled_traces" ~value:(float_of_int (List.length traces))
-        ~unit_:"trace";
-      m ~name:"sampled_requests" ~value:(float_of_int represented) ~unit_:"req";
-      m ~name:"sampled_spans" ~value:(float_of_int spans) ~unit_:"span";
-      m ~name:"traced_wall_s" ~value:traced_wall ~unit_:"s";
-      m ~name:"trace_overhead"
-        ~value:(traced_wall /. Float.max 1e-9 traffic_wall) ~unit_:"x";
-    ]
-  in
-  let sim_metrics =
-    (* ungated simulation-kernel numbers: closed-loop block-request
-       throughput (client buffers + hierarchy + disks, streams
-       pregenerated) of the devirtualized Flat_lru kernel against the
-       retained closure reference (Lru.reference through the generic
-       dispatch path).  Both kernels must agree on the modeled elapsed
-       time — the golden suite pins full result identity — so any
-       divergence aborts the bench. *)
-    Printf.eprintf "bench json: simulation kernel...\n%!";
-    let timings =
-      List.concat_map
-        (fun app ->
-          List.map
-            (fun layouts ->
-              let p = Kernel_bench.prepare ~config ~layouts ~sample app in
-              let fast = Kernel_bench.time Kernel_bench.Fast p in
-              let refr = Kernel_bench.time Kernel_bench.Reference p in
-              if fast.Kernel_bench.elapsed_us <> refr.Kernel_bench.elapsed_us
-              then begin
-                Printf.eprintf
-                  "bench json: sim kernels disagree on %s: fast %.17g us, ref %.17g us\n"
-                  app.App.name fast.Kernel_bench.elapsed_us
-                  refr.Kernel_bench.elapsed_us;
-                exit 2
-              end;
-              (fast, refr))
-            [ Experiment.default_layouts app; Experiment.inter_layouts config app ])
-        selected
-    in
-    let fast_wall =
-      List.fold_left (fun a (f, _) -> a +. f.Kernel_bench.wall_s) 0. timings
-    in
-    let ref_wall =
-      List.fold_left (fun a (_, r) -> a +. r.Kernel_bench.wall_s) 0. timings
-    in
-    let requests =
-      List.fold_left (fun a (f, _) -> a + f.Kernel_bench.block_requests) 0 timings
-    in
-    Printf.eprintf "bench json: sim kernel modeled numbers identical to reference\n%!";
-    let m ~name ~value ~unit_ =
-      { Bench_schema.app = "_sim"; name; value; unit_; gated = false }
-    in
-    [
-      m ~name:"blocks_per_sec"
-        ~value:(float_of_int requests /. Float.max 1e-9 fast_wall)
-        ~unit_:"req/s";
-      m ~name:"suite_wall_s" ~value:fast_wall ~unit_:"s";
-      m ~name:"reference_blocks_per_sec"
-        ~value:(float_of_int requests /. Float.max 1e-9 ref_wall)
-        ~unit_:"req/s";
-      m ~name:"speedup_vs_reference"
-        ~value:(ref_wall /. Float.max 1e-9 fast_wall)
-        ~unit_:"x";
-    ]
+    let sum f = List.fold_left (fun a t -> a + f t) 0 traces in
+    ungated "_trace"
+      [
+        ("sampled_traces", float_of_int (List.length traces), "trace");
+        ("sampled_requests", float_of_int (sum (fun t -> t.Flo_obs.Trace.count)), "req");
+        ("sampled_spans", float_of_int (sum Flo_obs.Trace.span_count), "span");
+      ]
   in
   let overload_metrics =
-    (* ungated overload-control numbers: a pinned read-error storm at ~8x
-       offered load with fail-fast shedding on.  Goodput and the accepted
-       cohort's p99 are the headline graceful-degradation trajectory; the
-       shed fraction gives them scale.  Long windows relative to the job
-       quantum (15 modeled s vs ~1.5 modeled s per job at sample 1024), so
-       the admission controller works at whole-job granularity without the
-       quantum dominating. *)
+    (* overload control: a pinned read-error storm at ~8x offered load with
+       fail-fast shedding on.  Goodput and the accepted cohort's p99 are the
+       headline graceful-degradation trajectory; the shed fraction gives
+       them scale.  Long windows relative to the job quantum (15 modeled s
+       vs ~1.5 modeled s per job at sample 1024), so the admission
+       controller works at whole-job granularity without the quantum
+       dominating. *)
     Printf.eprintf "bench json: overload control...\n%!";
     let faults =
       match Flo_faults.Fault_plan.of_string "read-error:rate=0.05" with
@@ -872,9 +754,7 @@ let json_mode args =
         windows = 4; sample = 1024; faults;
         overload = Some Flo_traffic.Overload.default }
     in
-    let t0 = Unix.gettimeofday () in
     let result = Flo_traffic.Engine.simulate ~jobs ~config params in
-    let overload_wall = Unix.gettimeofday () -. t0 in
     let ol =
       match result.Flo_traffic.Engine.overload with
       | Some ol -> ol
@@ -882,31 +762,25 @@ let json_mode args =
         Printf.eprintf "bench json: internal error: overload run lost its stats\n";
         exit 2
     in
-    let m ~name ~value ~unit_ =
-      { Bench_schema.app = "_overload"; name; value; unit_; gated = false }
-    in
-    [
-      m ~name:"goodput_rps" ~value:ol.Flo_traffic.Engine.ol_goodput_rps
-        ~unit_:"req/s";
-      m ~name:"shed_fraction" ~value:ol.Flo_traffic.Engine.ol_shed_fraction
-        ~unit_:"frac";
-      m ~name:"p99_accepted_us" ~value:result.Flo_traffic.Engine.agg_p99_us
-        ~unit_:"us";
-      m ~name:"overload_wall_s" ~value:overload_wall ~unit_:"s";
-    ]
+    ungated "_overload"
+      [
+        ("goodput_rps", ol.Flo_traffic.Engine.ol_goodput_rps, "req/s");
+        ("shed_fraction", ol.Flo_traffic.Engine.ol_shed_fraction, "frac");
+        ("p99_accepted_us", result.Flo_traffic.Engine.agg_p99_us, "us");
+      ]
   in
   let manifest =
     { manifest with
       Bench_schema.metrics =
-        manifest.Bench_schema.metrics @ suite_metrics @ traffic_metrics
-        @ trace_metrics @ sim_metrics @ overload_metrics }
+        manifest.Bench_schema.metrics @ traffic_metrics @ slo_metrics @ trace_metrics
+        @ overload_metrics }
   in
   (match Bench_schema.validate manifest with
   | Ok () -> ()
   | Error msg ->
     Printf.eprintf "bench json: internal error: invalid manifest: %s\n" msg;
     exit 2);
-  Bench_schema.save out manifest;
+  write_or_exit ~cmd:"json" out (fun () -> Bench_schema.save out manifest);
   Printf.printf "wrote %s (%d metrics over %d apps, schema %s v%d)\n" out
     (List.length manifest.Bench_schema.metrics)
     (List.length manifest.Bench_schema.apps)
@@ -994,9 +868,12 @@ let history_mode args =
       Printf.eprintf "bench history: %s\n" msg;
       exit 2
   in
-  Bench_history.save out history;
-  Flo_obs.Json.write_atomic page (fun oc ->
-      output_string oc (Bench_history.render_page history));
+  (* the page first: an unwritable --page must not leave a recorded row
+     behind (the page is regenerated from the history on every record) *)
+  write_or_exit ~cmd:"history" page (fun () ->
+      Flo_obs.Json.write_atomic page (fun oc ->
+          output_string oc (Bench_history.render_page history)));
+  write_or_exit ~cmd:"history" out (fun () -> Bench_history.save out history);
   Printf.printf "recorded commit %s (%d points) -> %s (%d rows), trend page %s\n"
     commit (List.length points) out
     (List.length history.Bench_history.rows)
@@ -1021,22 +898,24 @@ let () =
   | "json" :: rest -> json_mode rest
   | "history" :: rest -> history_mode rest
   | _ ->
-  let chosen =
-    if requested = [] then sections
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown section %S (known: %s)\n" name
-              (String.concat ", " (List.map fst sections));
-            None)
-        requested
-  in
-  List.iter
-    (fun (name, f) ->
-      let t0 = Sys.time () in
-      f ();
-      Printf.printf "[%s finished in %.1f s cpu]\n\n%!" name (Sys.time () -. t0))
-    chosen
+    (* every name is checked before any section runs: a typo must not run
+       part of the list and pass *)
+    (match List.filter (fun name -> not (List.mem_assoc name sections)) requested with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "bench: unknown section%s %s (known: %s, json, history)\n"
+        (if List.length unknown = 1 then "" else "s")
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst sections));
+      exit 2);
+    let chosen =
+      if requested = [] then sections
+      else List.map (fun name -> (name, List.assoc name sections)) requested
+    in
+    List.iter
+      (fun (name, f) ->
+        let span = Flo_obs.Span.start name in
+        f ();
+        Printf.printf "[%s finished in %.1f s]\n\n%!" name
+          (Flo_obs.Span.stop span *. 1e-6))
+      chosen

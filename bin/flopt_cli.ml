@@ -552,7 +552,8 @@ let bench_diff_cmd =
     "Compare two flopt-bench JSON manifests (written by $(b,bench -- json \
      --out FILE)) metric by metric.  Gated metrics are deterministic modeled \
      quantities — higher is worse; with $(b,--fail-on-regress) the exit \
-     status is 1 when any gated metric grew by more than the given percent."
+     status is 1 when any gated metric grew by more than the given percent \
+     or is missing from the new manifest."
   in
   let old_pos =
     Arg.(required & pos 0 (some file) None
@@ -566,7 +567,7 @@ let bench_diff_cmd =
     Arg.(value & opt (some float) None
          & info [ "fail-on-regress" ] ~docv:"PCT"
              ~doc:"Exit 1 when a gated metric regressed by more than $(docv) \
-                   percent.")
+                   percent or disappeared.")
   in
   let pp_delta c =
     if c.Bench_schema.delta_pct = infinity then "+inf"
@@ -584,6 +585,7 @@ let bench_diff_cmd =
     let d = Bench_schema.diff ~old_ ~new_ in
     let threshold = Option.value fail_on_regress ~default:0. in
     let regressed = Bench_schema.regressions ~threshold d in
+    let missing = Bench_schema.missing_gated d in
     let rows =
       List.filter_map
         (fun (c : Bench_schema.change) ->
@@ -609,7 +611,7 @@ let bench_diff_cmd =
       List.filter (fun c -> not c.Bench_schema.c_gated) d.Bench_schema.changes
     in
     if ungated <> [] then
-      Report.print_table ~title:"ungated metrics (wall clock; informational)"
+      Report.print_table ~title:"ungated metrics (trajectory data; informational)"
         ~header:[ "app"; "metric"; "old"; "new"; "change" ]
         (List.map
            (fun (c : Bench_schema.change) ->
@@ -627,12 +629,14 @@ let bench_diff_cmd =
       d.Bench_schema.added;
     List.iter
       (fun (m : Bench_schema.metric) ->
-        Printf.printf "removed: %s/%s\n" m.Bench_schema.app m.Bench_schema.name)
+        Printf.printf "removed: %s/%s%s\n" m.Bench_schema.app m.Bench_schema.name
+          (if m.Bench_schema.gated then " (gated: REGRESSED)" else ""))
       d.Bench_schema.removed;
     Printf.printf "%d gated regression(s) beyond %.1f%%, %d improvement(s)\n"
-      (List.length regressed) threshold
+      (List.length regressed + List.length missing)
+      threshold
       (List.length (Bench_schema.improvements d));
-    if fail_on_regress <> None && regressed <> [] then exit 1
+    if fail_on_regress <> None && (regressed <> [] || missing <> []) then exit 1
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(const run $ old_pos $ new_pos $ fail_arg)
@@ -1118,8 +1122,15 @@ let traffic_cmd =
         ?breaker_spec:breaker ()
     in
     let jobs = resolve_jobs jobs in
+    let span = Flo_obs.Span.start "traffic" in
     let result = Flo_traffic.Engine.simulate ~jobs ~config params in
+    let wall_s = Flo_obs.Span.stop span *. 1e-6 in
     Flo_traffic.Traffic_report.print ~max_rows result;
+    (* the one machine-dependent line: kernel compilation plus the engine *)
+    Printf.printf "[wall] engine %.3f s, %.3g modeled requests/s\n" wall_s
+      (if wall_s > 0. then
+         float_of_int result.Flo_traffic.Engine.total_requests /. wall_s
+       else 0.);
     (match slo_spec with
     | None -> ()
     | Some spec ->

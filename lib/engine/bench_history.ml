@@ -169,63 +169,64 @@ let save path t =
 (* -- manifest distillation ----------------------------------------------- *)
 
 let metrics_of_manifest (m : Bench_schema.t) =
-  let points = ref [] in
-  let add name value unit_ = points := { name; value; unit_ } :: !points in
-  (* geometric mean of the per-app tracegen throughputs: the suite-level
-     "how fast is trace generation" number, robust to one app dominating *)
-  let tracegen =
-    List.filter_map
-      (fun (mm : Bench_schema.metric) ->
-        if mm.Bench_schema.name = "tracegen_elems_per_sec.inter"
-           && mm.Bench_schema.value > 0.
-        then Some mm.Bench_schema.value
-        else None)
-      m.Bench_schema.metrics
-  in
-  (match tracegen with
-  | [] -> ()
-  | vs ->
-    let lnsum = List.fold_left (fun acc v -> acc +. log v) 0. vs in
-    add "tracegen_elems_per_sec"
-      (exp (lnsum /. float_of_int (List.length vs)))
-      "elem/s");
-  let value_of app name =
+  let find app name =
     List.find_opt
       (fun (mm : Bench_schema.metric) ->
         mm.Bench_schema.app = app && mm.Bench_schema.name = name)
       m.Bench_schema.metrics
-    |> Option.map (fun (mm : Bench_schema.metric) -> mm.Bench_schema.value)
   in
-  Option.iter (fun v -> add "suite_wall_s" v "s") (value_of "_suite" "suite_wall_s.seq");
-  Option.iter (fun v -> add "modeled_rps" v "req/s") (value_of "_traffic" "modeled_rps");
-  Option.iter (fun v -> add "slo_burn_rate" v "x") (value_of "_slo" "fleet_burn_rate");
-  Option.iter
-    (fun v -> add "overload_goodput_rps" v "req/s")
-    (value_of "_overload" "goodput_rps");
-  List.rev !points
+  let elapsed app mode =
+    match find app ("elapsed_us." ^ mode) with
+    | Some mm when mm.Bench_schema.gated -> Some mm.Bench_schema.value
+    | _ -> None
+  in
+  (* the paper's headline: how much modeled time the inter layouts save,
+     averaged over the apps that carry both gated elapsed times *)
+  let ratios =
+    List.filter_map
+      (fun app ->
+        match (elapsed app "default", elapsed app "inter") with
+        | Some d, Some i when d > 0. -> Some (i /. d)
+        | _ -> None)
+      m.Bench_schema.apps
+  in
+  let layout_gain =
+    match ratios with
+    | [] -> []
+    | rs ->
+      let mean = List.fold_left ( +. ) 0. rs /. float_of_int (List.length rs) in
+      [ { name = "layout_gain_pct"; value = 100. *. (1. -. mean); unit_ = "%" } ]
+  in
+  let point (app, metric, name, unit_) =
+    Option.map (fun mm -> { name; value = mm.Bench_schema.value; unit_ }) (find app metric)
+  in
+  layout_gain
+  @ List.filter_map point
+      [
+        ("_slo", "fleet_burn_rate", "slo_burn_rate", "x");
+        ("_overload", "goodput_rps", "overload_goodput_rps", "req/s");
+      ]
 
 (* -- trend page ----------------------------------------------------------
 
    Design notes (and the constraints they satisfy):
-   - five metrics of different scales -> small multiples, one single-series
+   - three metrics of different scales -> small multiples, one single-series
      chart each, never a dual axis;
-   - colors assigned in the palette's fixed categorical order (slots 1-5),
+   - colors assigned in the palette's fixed categorical order (slots 1-3),
      validated for both modes; panels are separate plots, so slot adjacency
      never shares an axis;
    - identity is never color-alone: each panel's title names its series and
      the last point carries a direct value label; the full history is also
-     a table (which doubles as the relief for the two light-mode slots
+     a table (which doubles as the relief for slot 3, the light-mode slot
      below 3:1 contrast);
    - no JavaScript: hover detail comes from native SVG <title> tooltips;
    - dark mode is selected (the palette's dark steps), not a filter. *)
 
 let series_specs =
   [
-    ("tracegen_elems_per_sec", "Tracegen throughput", "elem/s", "s1");
-    ("suite_wall_s", "Bench suite wall time", "s", "s2");
-    ("modeled_rps", "Traffic engine modeled RPS", "req/s", "s3");
-    ("slo_burn_rate", "Fleet SLO burn rate", "x", "s4");
-    ("overload_goodput_rps", "Overload goodput under storm", "req/s", "s5");
+    ("layout_gain_pct", "Mean modeled layout gain", "%", "s1");
+    ("slo_burn_rate", "Fleet SLO burn rate", "x", "s2");
+    ("overload_goodput_rps", "Overload goodput under storm", "req/s", "s3");
   ]
 
 let html_escape s =
@@ -397,8 +398,6 @@ svg { width: 100%; height: auto; }
 .line.s1 { stroke: #2a78d6; } .dot.s1 { fill: #2a78d6; }
 .line.s2 { stroke: #eb6834; } .dot.s2 { fill: #eb6834; }
 .line.s3 { stroke: #1baf7a; } .dot.s3 { fill: #1baf7a; }
-.line.s4 { stroke: #eda100; } .dot.s4 { fill: #eda100; }
-.line.s5 { stroke: #8a5cd6; } .dot.s5 { fill: #8a5cd6; }
 table { border-collapse: collapse; margin-top: 2rem; }
 th, td { text-align: right; padding: .3rem .8rem; border-bottom: 1px solid #e7e6e2; }
 th:first-child, td:first-child { text-align: left; font-family: ui-monospace, monospace; }
@@ -413,8 +412,6 @@ thead th { color: #52514e; font-weight: 600; }
   .line.s1 { stroke: #3987e5; } .dot.s1 { fill: #3987e5; }
   .line.s2 { stroke: #d95926; } .dot.s2 { fill: #d95926; }
   .line.s3 { stroke: #199e70; } .dot.s3 { fill: #199e70; }
-  .line.s4 { stroke: #c98500; } .dot.s4 { fill: #c98500; }
-  .line.s5 { stroke: #9a70e0; } .dot.s5 { fill: #9a70e0; }
   th, td { border-bottom-color: #383835; }
 }
 |css}

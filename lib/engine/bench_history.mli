@@ -19,7 +19,7 @@ val schema_version : int
 (** Current version (1).  {!load} rejects other versions. *)
 
 type point = { name : string; value : float; unit_ : string }
-(** One trend series sample, e.g. [{name = "modeled_rps"; ...}]. *)
+(** One trend series sample, e.g. [{name = "slo_burn_rate"; ...}]. *)
 
 type row = { commit : string; points : point list }
 (** One commit's samples; [points] is kept sorted by name. *)
@@ -64,11 +64,14 @@ val save : string -> t -> unit
     existing history. *)
 
 val metrics_of_manifest : Bench_schema.t -> point list
-(** The trend points a manifest yields: the geometric mean of the per-app
-    [tracegen_elems_per_sec.inter] metrics, the [_suite] wall time, the
-    [_traffic] modeled RPS, and the [_slo] fleet burn rate.  Series the
-    manifest lacks (e.g. an old manifest without [_slo]) are simply
-    absent — the page shows a gap. *)
+(** The trend points a manifest yields, all deterministic:
+    [layout_gain_pct], the paper's headline — [100 * (1 - mean r)] over
+    the apps with both gated [elapsed_us.default] and [elapsed_us.inter],
+    where [r] is inter over default; [slo_burn_rate], the [_slo] fleet burn
+    rate; and [overload_goodput_rps], the [_overload] goodput.  Series the
+    manifest lacks (e.g. an old manifest without [_overload]) are simply
+    absent — the page shows a gap.  Wall-clock metrics an old manifest
+    still carries yield nothing. *)
 
 val render_page : t -> string
 (** Self-contained HTML document — inline CSS, inline SVG, no JavaScript,

@@ -3,48 +3,15 @@ open Flo_storage
 
 (* One app's manifest contribution is a pure function of (config, sample,
    app): the task builds its own analyzer, fidelity join and layouts, so the
-   grid parallelizes over apps with no shared state and the gated metrics
-   are identical under every jobs setting.  Ungated wall-clock metrics are
-   machine- and scheduling-dependent by construction. *)
+   grid parallelizes over apps with no shared state and the manifest is
+   identical under every jobs setting. *)
 
-let tracegen_elems_per_sec ~config ~sample app layouts =
-  let topo = config.Config.topology in
-  let block_elems = topo.Topology.block_elems in
-  let threads = Config.threads config in
-  let blocks_per_thread = config.Config.blocks_per_thread in
-  let nests = app.App.program.Flo_poly.Program.nests in
-  let elems =
-    List.fold_left
-      (fun acc nest ->
-        let iters =
-          Tracegen.iterations_per_thread ~threads ~blocks_per_thread ~sample nest
-        in
-        acc + Array.fold_left ( + ) 0 iters)
-      0 nests
-  in
-  let generate () =
-    List.iter
-      (fun nest ->
-        ignore
-          (Tracegen.nest_streams ~layouts ~block_elems ~threads ~blocks_per_thread
-             ~sample nest))
-      nests
-  in
-  generate () (* warm: page in code and data before timing *);
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    generate ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  float_of_int elems /. Float.max 1e-9 !best
-
-let app_metrics ~config ~sample ~wall_ns_inter app =
+let app_metrics ~config ~sample app =
   let name = app.App.name in
   let metrics = ref [] in
-  let add ~name:metric ~value ~unit_ ~gated =
-    metrics := { Bench_schema.app = name; name = metric; value; unit_; gated } :: !metrics
+  let add metric value unit_ =
+    metrics :=
+      { Bench_schema.app = name; name = metric; value; unit_; gated = true } :: !metrics
   in
   let analyzed_run layouts =
     let a = Flo_analysis.Analyzer.create () in
@@ -56,7 +23,7 @@ let app_metrics ~config ~sample ~wall_ns_inter app =
   List.iter
     (fun (mode, layouts) ->
       let r, a = analyzed_run layouts in
-      let g n v u = add ~name:(n ^ "." ^ mode) ~value:v ~unit_:u ~gated:true in
+      let g n = add (n ^ "." ^ mode) in
       g "elapsed_us" r.Run.elapsed_us "us";
       g "l1_miss_per_element" (Run.l1_miss_per_element r) "miss/elem";
       g "l2_miss_per_element" (Run.l2_miss_per_element r) "miss/elem";
@@ -73,32 +40,18 @@ let app_metrics ~config ~sample ~wall_ns_inter app =
   let fd, _ =
     Experiment.fidelity ~sample ~layouts:(Experiment.inter_layouts config app) config app
   in
-  add ~name:"fidelity.max_rel_drift.inter"
-    ~value:(Flo_fidelity.Fidelity.max_rel_drift fd) ~unit_:"ratio" ~gated:true;
-  add ~name:"fidelity.flagged_rows.inter"
-    ~value:(float_of_int (List.length (Flo_fidelity.Fidelity.flagged fd)))
-    ~unit_:"rows" ~gated:true;
-  add ~name:"wall_ns.inter"
-    ~value:(wall_ns_inter app (Experiment.inter_layouts config app))
-    ~unit_:"ns" ~gated:false;
-  let compile_us =
-    let t0 = Unix.gettimeofday () in
-    ignore (Experiment.inter_plan config app);
-    (Unix.gettimeofday () -. t0) *. 1e6
-  in
-  add ~name:"pass_compile_us" ~value:compile_us ~unit_:"us" ~gated:false;
-  add ~name:"tracegen_elems_per_sec.inter"
-    ~value:(tracegen_elems_per_sec ~config ~sample app (Experiment.inter_layouts config app))
-    ~unit_:"elems/s" ~gated:false;
+  add "fidelity.max_rel_drift.inter" (Flo_fidelity.Fidelity.max_rel_drift fd) "ratio";
+  add "fidelity.flagged_rows.inter"
+    (float_of_int (List.length (Flo_fidelity.Fidelity.flagged fd)))
+    "rows";
   List.rev !metrics
 
-let collect ?jobs ?(sample = 1) ?(wall_ns_inter = fun _ _ -> 0.)
-    ?(progress = fun _ -> ()) ~config apps =
+let collect ?jobs ?(sample = 1) ?(progress = fun _ -> ()) ~config apps =
   let per_app =
     Parallel.map_list ?jobs
       (fun app ->
         progress app.App.name;
-        app_metrics ~config ~sample ~wall_ns_inter app)
+        app_metrics ~config ~sample app)
       apps
   in
   Bench_schema.make
@@ -107,17 +60,3 @@ let collect ?jobs ?(sample = 1) ?(wall_ns_inter = fun _ _ -> 0.)
     ~block_elems:config.Config.topology.Topology.block_elems
     ~threads:(Config.threads config)
     (List.concat per_app)
-
-let gated m =
-  List.filter (fun (x : Bench_schema.metric) -> x.Bench_schema.gated)
-    m.Bench_schema.metrics
-
-let equal_gated a b =
-  List.length (gated a) = List.length (gated b)
-  && List.for_all2
-       (fun (x : Bench_schema.metric) (y : Bench_schema.metric) ->
-         x.Bench_schema.app = y.Bench_schema.app
-         && x.Bench_schema.name = y.Bench_schema.name
-         && x.Bench_schema.unit_ = y.Bench_schema.unit_
-         && Float.equal x.Bench_schema.value y.Bench_schema.value)
-       (gated a) (gated b)

@@ -2,39 +2,23 @@
 
     Each application's metrics are computed by a self-contained task (own
     analyzer, fidelity join, layouts), fanned over {!Parallel.map_list} and
-    concatenated in application order — so the {e gated} portion of the
-    manifest is bit-identical for every [jobs] value, including the
-    sequential [jobs = 1] reference.  Only the ungated wall-clock metrics
-    ([wall_ns.inter], [pass_compile_us], [tracegen_elems_per_sec.inter])
-    vary run to run. *)
+    concatenated in application order — so the manifest is bit-identical
+    for every [jobs] value, including the sequential [jobs = 1]
+    reference, and across runs.  Every metric is modeled and gated; wall
+    time is measured by the benchmark in [bench/perf], never here. *)
 
-open Flo_core
 open Flo_workloads
 
 val collect :
   ?jobs:int ->
   ?sample:int ->
-  ?wall_ns_inter:(App.t -> (int -> File_layout.t) -> float) ->
   ?progress:(string -> unit) ->
   config:Config.t ->
   App.t list ->
   Bench_schema.t
-(** Per-app metrics under [config]: gated modeled quantities (elapsed time,
-    per-layer miss rates, L2 cross-thread sharing, L1 reuse median, fidelity
-    drift/flags) and ungated wall-clock ones.  [wall_ns_inter] supplies the
-    [wall_ns.inter] measurement (the bench binary passes a bechamel timer;
-    default records 0 — tests use this to keep manifests comparable);
-    [progress] is called with each app name as its task starts (may
-    interleave across domains).  [jobs] defaults to
-    {!Parallel.default_jobs}. *)
-
-val tracegen_elems_per_sec :
-  config:Config.t -> sample:int -> App.t -> (int -> File_layout.t) -> float
-(** Trace-generation throughput (elements enumerated per second, best of 3
-    timed passes over the app's nests) — the fast path's headline ungated
-    number. *)
-
-val equal_gated : Bench_schema.t -> Bench_schema.t -> bool
-(** Whether two manifests agree exactly on their gated metrics (same
-    sequence of app/name/unit and bitwise-equal values) — the determinism
-    check [bench -- json --jobs N] runs against the [jobs = 1] reference. *)
+(** Per-app gated metrics under [config]: modeled elapsed time, per-layer
+    miss rates, L2 cross-thread sharing, L1 reuse median (when any reuse
+    was seen) for the default and inter layouts, and the inter layouts'
+    fidelity drift and flagged rows.  [progress] is called with each app
+    name as its task starts (may interleave across domains).  [jobs]
+    defaults to {!Parallel.default_jobs}. *)

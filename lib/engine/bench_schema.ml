@@ -190,5 +190,8 @@ let diff ~old_ ~new_ =
 let regressions ?(threshold = 0.) d =
   List.filter (fun c -> c.c_gated && c.delta_pct > threshold) d.changes
 
+(* a gated metric that vanished cannot be shown not to have regressed *)
+let missing_gated d = List.filter (fun m -> m.gated) d.removed
+
 let improvements ?(threshold = 0.) d =
   List.filter (fun c -> c.c_gated && c.delta_pct < -.threshold) d.changes

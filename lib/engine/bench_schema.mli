@@ -3,16 +3,19 @@
     [bench -- json --out FILE] writes one {e manifest}: a versioned JSON
     document recording, per application, the headline numbers of that
     invocation — modeled execution times, per-layer miss rates, L2
-    cross-thread sharing, reuse-distance medians, fidelity drift, and the
-    pass's measured compile time.  [flopt bench-diff OLD NEW] loads two
-    manifests and reports per-metric changes, optionally failing the
-    process when a {e gated} metric regressed past a threshold.
+    cross-thread sharing, reuse-distance medians and fidelity drift per
+    application, plus traffic, SLO, tracing and overload numbers.
+    [flopt bench-diff OLD NEW] loads two manifests and reports per-metric
+    changes, optionally failing the process when a {e gated} metric
+    regressed past a threshold or disappeared.
 
-    Gating convention: a metric is [gated] iff it is deterministic (a
-    modeled quantity, identical on every machine), so a checked-in baseline
-    stays comparable in CI.  Wall-clock measurements (bechamel) are
-    recorded [gated = false] — trajectory data, never a gate.  Every
-    recorded metric is a cost: {b higher is worse}.
+    Gating convention: every metric [bench -- json] records is
+    deterministic (a modeled quantity, identical on every machine and at
+    every [--jobs] value).  The per-application ones are [gated], so a
+    checked-in baseline stays comparable in CI; {b higher is worse} for
+    them.  The fleet-level ones are [gated = false]: trajectory data that
+    moves whenever the modeled engine is meant to change, never a gate.
+    Wall-clock time is not recorded here: [bench/perf] measures it.
 
     The manifest is a {!Flo_obs.Json} document: it is parsed, printed and
     saved with that codec, so it shares its escapes, nesting cap and
@@ -96,5 +99,10 @@ val diff : old_:t -> new_:t -> diff
 val regressions : ?threshold:float -> diff -> change list
 (** Gated changes whose [delta_pct] exceeds [threshold] (percent, default
     0).  Higher-is-worse: a positive delta is a regression. *)
+
+val missing_gated : diff -> metric list
+(** Gated metrics of the old manifest that the new one lacks.  bench-diff
+    counts each as a regression at every threshold; ungated removals are
+    informational. *)
 
 val improvements : ?threshold:float -> diff -> change list

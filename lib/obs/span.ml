@@ -5,7 +5,7 @@ type t = {
   started_us : float;
 }
 
-let default_clock () = Sys.time () *. 1e6
+let default_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-3
 
 (* spans range from sub-microsecond solver calls to second-scale suite
    sweeps: power-of-two buckets over ~40 decades of doubling *)
@@ -21,5 +21,8 @@ let stop t =
   elapsed
 
 let with_ ?metrics ?clock name f =
-  let span = start ?metrics ?clock name in
-  Fun.protect ~finally:(fun () -> ignore (stop span)) f
+  match metrics with
+  | None -> f ()
+  | Some _ ->
+    let span = start ?metrics ?clock name in
+    Fun.protect ~finally:(fun () -> ignore (stop span)) f

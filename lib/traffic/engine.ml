@@ -171,8 +171,6 @@ type result = {
   fairness : float;  (** Jain's index over per-tenant mean latency *)
   noisy_p99_delta_pct : float option;
   opt_p50_advantage_pct : float option;
-  wall_s : float;  (** engine wall clock (machine-dependent) *)
-  modeled_rps : float;  (** total_requests / wall_s (machine-dependent) *)
   overload : overload_stats option;  (** [Some] iff [params.overload] is *)
 }
 
@@ -925,7 +923,6 @@ let simulate ?jobs ?metrics ~config p =
   let kernels = compile_kernels ?jobs ~config p in
   let zipf = Zipf.make ~s:p.zipf_s ~n:(Array.length kernels) in
   let shards_n = config.Config.topology.Flo_storage.Topology.storage_nodes in
-  let t0 = Unix.gettimeofday () in
   (* plan: one task per storage shard; a shard owns tenants (i mod
      shards_n), so cross-shard scheduling cannot matter *)
   let shard_plans =
@@ -994,7 +991,6 @@ let simulate ?jobs ?metrics ~config p =
         (List.rev stats_rev, shard_hist, List.rev traces_rev))
       (Array.init shards_n Fun.id)
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
   (* observe: tenants by id; histograms and sampled traces merge in shard
      order, so both are identical at every jobs value *)
   let tenants_stats = Array.make p.tenants None in
@@ -1027,7 +1023,5 @@ let simulate ?jobs ?metrics ~config p =
     fairness = jain (Array.of_list (List.map (fun s -> s.mean_us) active));
     noisy_p99_delta_pct = noisy_delta ~p ~shards_n active;
     opt_p50_advantage_pct = opt_advantage active;
-    wall_s;
-    modeled_rps = (if wall_s > 0. then float_of_int total_requests /. wall_s else 0.);
     overload;
   }

@@ -154,8 +154,6 @@ type result = {
           shards, percent; [None] without a noisy tenant or a counterpart *)
   opt_p50_advantage_pct : float option;
       (** how much lower the optimized tenants' mean p50 is, percent *)
-  wall_s : float;  (** engine wall clock (machine-dependent) *)
-  modeled_rps : float;  (** total_requests / wall_s (machine-dependent) *)
   overload : overload_stats option;
       (** [Some] exactly when [params.overload] is.  Under overload
           control, [tenant_stats.jobs] still counts arrivals but
@@ -173,10 +171,9 @@ val simulate :
     parallel per home shard; {b control} which jobs each (shard, window)
     serves; {b replay} the served cells in parallel per home shard (and let
     the tracer observe them); {b observe} by merging in shard order.
-    Every field except [wall_s] and [modeled_rps] is a pure function of
-    (params, config).  With [metrics], per-tenant
-    [traffic.jobs]/[traffic.requests] and per-shard
-    [traffic.shard_requests] counters are recorded.
+    Every field is a pure function of (params, config); the engine reads
+    no clock.  With [metrics], per-tenant [traffic.jobs]/[traffic.requests]
+    and per-shard [traffic.shard_requests] counters are recorded.
 
     The controller is chosen by [params.overload].  With [None], the
     identity controller admits every job at its home shard, whose

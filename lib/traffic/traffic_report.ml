@@ -1,9 +1,8 @@
 open Flo_engine
 
-(* Rendering for traffic-engine results.  Everything except {!wall_line} is
-   a pure function of the result's modeled fields, so the printed report is
-   byte-identical at every --jobs value — CI pins {!verdict_line} and diffs
-   whole reports with the [wall] line stripped. *)
+(* Rendering for traffic-engine results.  Everything is a pure function of
+   the result's modeled fields, so the printed report is byte-identical at
+   every --jobs value — CI pins {!verdict_line} and diffs whole reports. *)
 
 let mix_names (p : Engine.params) =
   String.concat "," (List.map (fun a -> a.Flo_workloads.App.name) p.Engine.mix)
@@ -199,13 +198,8 @@ let summary ?max_rows (r : Engine.result) =
                (Flo_obs.Histogram.exemplars_at r.Engine.agg_hist ~p:0.99))));
   Buffer.contents b
 
-let wall_line (r : Engine.result) =
-  Printf.sprintf "[wall] engine %.3f s, %.3g modeled requests/s" r.Engine.wall_s
-    r.Engine.modeled_rps
-
 let print ?max_rows (r : Engine.result) =
   print_string (summary ?max_rows r);
-  print_endline (wall_line r);
   (match r.Engine.overload with
   | None -> ()
   | Some ol -> print_endline (overload_line r ol));

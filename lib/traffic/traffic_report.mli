@@ -1,9 +1,9 @@
 (** Rendering for traffic-engine results.
 
-    Everything except {!wall_line} depends only on the result's modeled
-    fields, so the report is byte-identical at every [--jobs] value; CI
-    pins {!verdict_line} verbatim and diffs whole reports with the
-    [[wall]] line stripped.  All renderers accept degenerate inputs — zero
+    Everything depends only on the result's modeled fields, so the report
+    is byte-identical at every [--jobs] value; CI pins {!verdict_line}
+    verbatim and diffs whole reports.  The machine-dependent [[wall]]
+    line is the CLI's, not this module's.  All renderers accept degenerate inputs — zero
     tenants, a single tenant, a single-app mix, tenants with no arrivals —
     and produce a well-formed (possibly empty-bodied) table. *)
 
@@ -27,9 +27,6 @@ val verdict_line : Engine.result -> string
     [traffic MIX tenants=N seed=S: requests=... offered_rps=... p50=...
     p99=... fairness=... noisy_p99=... opt_p50_adv=...] *)
 
-val wall_line : Engine.result -> string
-(** Machine-dependent throughput line, prefixed [[wall]]. *)
-
 val print : ?max_rows:int -> Engine.result -> unit
-(** [summary], then {!wall_line}, then ({!overload_line} when overload
-    control ran), then {!verdict_line}, to stdout. *)
+(** [summary], then ({!overload_line} when overload control ran), then
+    {!verdict_line}, to stdout. *)

@@ -191,6 +191,27 @@ let test_zero_baseline_special_case () =
   check_int "still regressed" 1 (List.length r);
   checkb "infinite" true ((List.hd r).B.delta_pct = infinity)
 
+(* a gated metric that disappears fails the gate; an ungated one does not *)
+let test_missing_gated_regresses () =
+  let old_ =
+    manifest
+      [
+        metric "a" "elapsed_us.inter" 1.;
+        metric "a" "x" 2.;
+        metric ~gated:false "a" "wall" 3.;
+      ]
+  in
+  let new_ = manifest [ metric "a" "x" 2. ] in
+  let d = B.diff ~old_ ~new_ in
+  check_int "no changed metric regressed" 0 (List.length (B.regressions d));
+  check_int "both removals listed" 2 (List.length d.B.removed);
+  (match B.missing_gated d with
+  | [ m ] -> check_str "the gated one" "elapsed_us.inter" m.B.name
+  | ms -> Alcotest.failf "%d missing gated metrics, want 1" (List.length ms));
+  let kept = manifest [ metric "a" "elapsed_us.inter" 1.; metric "a" "x" 2. ] in
+  check_int "ungated removal is informational" 0
+    (List.length (B.missing_gated (B.diff ~old_ ~new_:kept)))
+
 let test_added_removed () =
   let old_ = manifest [ metric "a" "x" 1.; metric "a" "gone" 2. ] in
   let new_ = manifest [ metric "a" "x" 1.; metric "a" "fresh" 3. ] in
@@ -326,16 +347,14 @@ let test_history_metrics_of_manifest () =
   let m =
     manifest
       [
-        { B.app = "a"; name = "tracegen_elems_per_sec.inter"; value = 100.;
-          unit_ = "elem/s"; gated = false };
-        { B.app = "b"; name = "tracegen_elems_per_sec.inter"; value = 400.;
-          unit_ = "elem/s"; gated = false };
-        { B.app = "_suite"; name = "suite_wall_s.seq"; value = 3.5;
-          unit_ = "s"; gated = false };
-        { B.app = "_traffic"; name = "modeled_rps"; value = 1234.;
-          unit_ = "req/s"; gated = false };
+        metric "a" "elapsed_us.default" 200.;
+        metric "a" "elapsed_us.inter" 100.;
+        metric "b" "elapsed_us.default" 50.;
+        metric "b" "elapsed_us.inter" 50.;
         { B.app = "_slo"; name = "fleet_burn_rate"; value = 0.25;
           unit_ = "x"; gated = false };
+        { B.app = "_overload"; name = "goodput_rps"; value = 4321.;
+          unit_ = "req/s"; gated = false };
       ]
   in
   let points = H.metrics_of_manifest m in
@@ -344,35 +363,60 @@ let test_history_metrics_of_manifest () =
     | Some p -> p.H.value
     | None -> Alcotest.failf "missing point %s" name
   in
-  (* geomean of 100 and 400 is 200 *)
-  checkb "tracegen geomean" true
-    (Float.abs (value "tracegen_elems_per_sec" -. 200.) < 1e-6);
-  checkb "suite wall" true (value "suite_wall_s" = 3.5);
-  checkb "modeled rps" true (value "modeled_rps" = 1234.);
+  (* inter/default ratios 0.5 and 1.0: mean 0.75, a 25% gain *)
+  checkb "layout gain" true (Float.abs (value "layout_gain_pct" -. 25.) < 1e-9);
   checkb "slo burn" true (value "slo_burn_rate" = 0.25);
-  (* a manifest without _slo simply yields no burn point *)
-  let bare = manifest [ metric "a" "elapsed_us.inter" 1. ] in
-  checkb "missing series absent, not zero" true
-    (H.metrics_of_manifest bare = [])
+  checkb "overload goodput" true (value "overload_goodput_rps" = 4321.);
+  (* an old manifest's wall-clock metrics, and an unpaired or ungated
+     elapsed time, yield nothing *)
+  let old_walls =
+    manifest
+      [
+        metric "a" "elapsed_us.inter" 1.;
+        metric ~gated:false "b" "elapsed_us.default" 2.;
+        metric "b" "elapsed_us.inter" 1.;
+        metric ~gated:false "a" "tracegen_elems_per_sec.inter" 100.;
+        { B.app = "_suite"; name = "suite_wall_s.seq"; value = 3.5;
+          unit_ = "s"; gated = false };
+        { B.app = "_traffic"; name = "modeled_rps"; value = 1234.;
+          unit_ = "req/s"; gated = false };
+      ]
+  in
+  checkb "no point from wall metrics" true (H.metrics_of_manifest old_walls = []);
+  (* the checked-in baseline: cc-ver-1 gains nothing, wupwise 29% *)
+  let baseline =
+    if Sys.file_exists "../bench/baseline.json" then "../bench/baseline.json"
+    else "bench/baseline.json"
+  in
+  match B.load baseline with
+  | Error e -> Alcotest.failf "baseline did not load: %s" e
+  | Ok b -> (
+    match List.find_opt (fun p -> p.H.name = "layout_gain_pct") (H.metrics_of_manifest b) with
+    | Some p -> checkb "baseline gain 14.5%" true (Float.abs (p.H.value -. 14.53) < 0.01)
+    | None -> Alcotest.fail "baseline yields no layout gain")
 
 let test_history_page_deterministic () =
   let h =
     history_of
       [
-        ("c1", [ pt "modeled_rps" 100.; pt "suite_wall_s" 2. ]);
-        ("c2", [ pt "modeled_rps" 140.; pt "suite_wall_s" 1.8 ]);
-        ("c3", [ pt "modeled_rps" 130. ]);
+        ("c1", [ pt "layout_gain_pct" 14.5; pt "slo_burn_rate" 37.5 ]);
+        ("c2", [ pt "layout_gain_pct" 15.1; pt "slo_burn_rate" 25. ]);
+        ("c3", [ pt "layout_gain_pct" 15.0 ]);
       ]
   in
   let page = H.render_page h in
   check_str "byte-equal on re-render" page (H.render_page h);
-  let contains needle =
+  let count needle =
     let n = String.length needle and l = String.length page in
-    let rec go i = i + n <= l && (String.sub page i n = needle || go (i + 1)) in
-    go 0
+    let rec go i acc =
+      if i + n > l then acc
+      else go (i + 1) (if String.sub page i n = needle then acc + 1 else acc)
+    in
+    go 0 0
   in
+  let contains needle = count needle > 0 in
   checkb "no javascript" false (contains "<script");
-  checkb "inline svg" true (contains "<svg");
+  check_int "one chart per series" 2 (count "<svg");
   checkb "commits appear" true (contains "c1" && contains "c3");
   checkb "table view present" true (contains "<table");
   checkb "dark mode selected" true (contains "prefers-color-scheme")
@@ -400,6 +444,7 @@ let suite =
     ("ungated metrics never gate", `Quick, test_ungated_never_gates);
     ("zero-baseline special case", `Quick, test_zero_baseline_special_case);
     ("added/removed metrics", `Quick, test_added_removed);
+    ("missing gated metric regresses", `Quick, test_missing_gated_regresses);
     ("history commit-id validation", `Quick, test_history_valid_commit);
     ("history upsert appends/replaces", `Quick, test_history_upsert_appends_and_replaces);
     ("history upsert rejects bad rows", `Quick, test_history_upsert_rejects);

@@ -643,6 +643,18 @@ let test_span_records () =
     checkf "total" 200. (Histogram.sum h)
   | None -> Alcotest.fail "span histogram missing"
 
+(* off means off: without a registry a span reads no clock *)
+let test_span_off_reads_no_clock () =
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    float_of_int !reads
+  in
+  check "thunk result" 7 (Span.with_ ~clock "phase" (fun () -> 7));
+  check "no registry, no read" 0 !reads;
+  ignore (Span.with_ ~metrics:(Metrics.create ()) ~clock "phase" (fun () -> ()));
+  check "registry: start and stop" 2 !reads
+
 (* ---- Hierarchy events vs. stats (satellite: trace consistency) ---------- *)
 
 let count_events events pred = List.length (List.filter pred events)
@@ -757,6 +769,7 @@ let suite =
     ("json nesting cap", `Quick, test_json_nesting_cap);
     ("jsonl + tee sinks", `Quick, test_sink_jsonl_and_tee);
     ("span phase timing", `Quick, test_span_records);
+    ("span without a registry reads no clock", `Quick, test_span_off_reads_no_clock);
   ]
   @ qsuite
 
