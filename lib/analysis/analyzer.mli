@@ -7,7 +7,16 @@
 
     i.e. the observable counterparts of the paper's Step I (Eq. 4) and
     Step II objectives.  Rendering lives in [Flo_engine.Report]; Perfetto
-    export in {!Perfetto}. *)
+    export in {!Perfetto}.
+
+    The views key blocks by packed [(file, block)] ints and keep each
+    block's toucher set as a thread bitset, so a cache's views cost
+    O(distinct blocks × ⌈distinct threads / 63⌉) words, plus the log of
+    its lookups not yet read.  Caches sit in per-layer arrays indexed by
+    node.  Reuse distances are computed when read: {!reuse_of} and
+    {!reuse_histogram_at} replay the lookups logged since the last read
+    into the cache's {!Reuse.t}, each exactly once, so callers that never
+    read them (fidelity, drift) never pay for them. *)
 
 type cache = { layer : Flo_obs.Event.layer; node : int }
 
@@ -21,6 +30,10 @@ val create : ?keep_events:bool -> unit -> t
     default so live analysis stays O(state), not O(trace). *)
 
 val feed : t -> Flo_obs.Event.t -> unit
+(** @raise Invalid_argument when an access, lookup or eviction names a
+    thread or node outside [[0, 65535]], or a block outside
+    [Flo_storage.Block]'s packing range ([file < 2^26], [block < 2^36]);
+    {!load_channel} reports such lines as [Malformed] instead. *)
 
 val sink : t -> Flo_obs.Sink.t
 (** Live accumulation: attach to [Run.run ~sink] (tee with other sinks as
@@ -38,7 +51,10 @@ val load_error_to_string : load_error -> string
 val load_file : ?keep_events:bool -> string -> (t, load_error) result
 (** Offline mode: parse a JSONL trace with {!Flo_obs.Event.of_json}.  Blank
     lines are skipped; the first malformed line aborts with
-    [Malformed] carrying its line number. *)
+    [Malformed] carrying its line number.  A line is malformed when it does
+    not decode, or when its thread or node is outside [[0, 65535]], its
+    file outside [[0, 2^26)] or its block outside [[0, 2^36)], whatever its
+    kind. *)
 
 val load_channel : ?keep_events:bool -> in_channel -> (t, load_error) result
 
@@ -59,6 +75,9 @@ val caches : t -> cache list
     nodes ascending. *)
 
 val reuse_of : t -> cache -> Reuse.t option
+(** [None] for a cache with no lookups.  Catches the view up with every
+    lookup fed so far; the same [Reuse.t] is returned on every call. *)
+
 val sharing_of : t -> cache -> Sharing.t option
 val locality : t -> Locality.t
 

@@ -1,74 +1,66 @@
 (* Per-thread, per-file distinct-block counts — the paper's Step I
    objective (Eq. 4): a thread's I/O working set is the number of distinct
-   blocks it touches in each file. *)
+   blocks it touches in each file.
+
+   Blocks carry their toucher bitsets (Touchers); a thread's first touch of
+   a block bumps its (thread, file) count, a dense-id column keyed by the
+   packed pair. *)
 
 type t = {
-  seen : (int * int * int, unit) Hashtbl.t;  (* (thread, file, block) *)
-  counts : (int * int, int ref) Hashtbl.t;  (* (thread, file) -> distinct *)
-  degrees : (int * int, int ref) Hashtbl.t;  (* (file, block) -> distinct threads *)
+  blocks : Touchers.t;
+  pairs : Packed.t;  (* thread lsl file_bits lor file -> pair id *)
+  mutable counts : int array;  (* pair id -> distinct blocks *)
   mutable requests : int;
-  mutable shared_blocks : int;
-  mutable cross_pairs : int;
 }
 
 let create () =
-  {
-    seen = Hashtbl.create 1024;
-    counts = Hashtbl.create 64;
-    degrees = Hashtbl.create 1024;
-    requests = 0;
-    shared_blocks = 0;
-    cross_pairs = 0;
-  }
+  { blocks = Touchers.create (); pairs = Packed.create (); counts = Array.make 64 0; requests = 0 }
 
-let bump tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r ->
-    incr r;
-    !r
-  | None ->
-    Hashtbl.add tbl key (ref 1);
-    1
+let pair_key ~thread ~file = (thread lsl Packed.file_bits) lor file
 
-(* the sharing counts move only when a thread touches a block for the first
-   time: the block's degree k grows by one and adds k - 1 new pairs *)
 let touch t ~thread ~file ~block =
+  let key = Packed.block ~file ~block in
+  Packed.check_id "thread" thread;
   t.requests <- t.requests + 1;
-  let key = (thread, file, block) in
-  if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.add t.seen key ();
-    ignore (bump t.counts (thread, file));
-    let k = bump t.degrees (file, block) in
-    t.cross_pairs <- t.cross_pairs + k - 1;
-    if k = 2 then t.shared_blocks <- t.shared_blocks + 1
+  if Touchers.add t.blocks (Touchers.intern t.blocks key) thread then begin
+    let p = Packed.intern t.pairs (pair_key ~thread ~file) in
+    if p >= Array.length t.counts then t.counts <- Packed.grow t.counts p 0;
+    t.counts.(p) <- t.counts.(p) + 1
   end
 
 let requests t = t.requests
 
 let distinct t ~thread ~file =
-  match Hashtbl.find_opt t.counts (thread, file) with Some r -> !r | None -> 0
+  if thread lsr Packed.id_bits <> 0 || file lsr Packed.file_bits <> 0 then 0
+  else
+    let p = Packed.find t.pairs (pair_key ~thread ~file) in
+    if p < 0 then 0 else t.counts.(p)
 
-let threads t =
-  Hashtbl.fold (fun (th, _) _ acc -> max acc (th + 1)) t.counts 0
+(* (thread, file, distinct) for every pair seen, unordered *)
+let fold_pairs t f init =
+  let acc = ref init in
+  for p = 0 to Packed.length t.pairs - 1 do
+    let key = Packed.key t.pairs p in
+    acc := f !acc (key lsr Packed.file_bits) (key land Packed.max_file) t.counts.(p)
+  done;
+  !acc
 
-let files t =
-  List.sort_uniq compare (Hashtbl.fold (fun (_, f) _ acc -> f :: acc) t.counts [])
+let threads t = fold_pairs t (fun acc th _ _ -> max acc (th + 1)) 0
+
+let files t = List.sort_uniq compare (fold_pairs t (fun acc _ f _ -> f :: acc) [])
 
 let per_thread t =
-  let tbl = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (th, f) r ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl th) in
-      Hashtbl.replace tbl th ((f, !r) :: prev))
-    t.counts;
-  Hashtbl.fold (fun th l acc -> (th, List.sort compare l) :: acc) tbl []
-  |> List.sort compare
+  let sorted = List.sort compare (fold_pairs t (fun acc th f n -> (th, f, n) :: acc) []) in
+  List.fold_right
+    (fun (th, f, n) acc ->
+      match acc with
+      | (th', l) :: rest when th' = th -> (th, (f, n) :: l) :: rest
+      | _ -> (th, [ (f, n) ]) :: acc)
+    sorted []
 
 let total_distinct t ~thread =
-  Hashtbl.fold
-    (fun (th, _) r acc -> if th = thread then acc + !r else acc)
-    t.counts 0
+  fold_pairs t (fun acc th _ n -> if th = thread then acc + n else acc) 0
 
-let distinct_blocks t = Hashtbl.length t.degrees
-let shared_blocks t = t.shared_blocks
-let cross_pairs t = t.cross_pairs
+let distinct_blocks t = Touchers.blocks t.blocks
+let shared_blocks t = Touchers.shared t.blocks
+let cross_pairs t = Touchers.pairs t.blocks

@@ -1,11 +1,21 @@
 (** Per-thread, per-file distinct-block counts — the paper's Step I
     objective (Eq. 4): how many distinct blocks of each file every thread
-    drags through the hierarchy.  Feed the trace's [Access] events. *)
+    drags through the hierarchy.  Feed the trace's [Access] events.
+
+    Each block, keyed by its packed [(file, block)] int, carries a bitset
+    of the threads that touched it and their count; a thread's first touch
+    of a block bumps its [(thread, file)] count and the sharing counters
+    below.  Memory is O(distinct blocks × ⌈distinct threads / 63⌉) words
+    plus one count per [(thread, file)]. *)
 
 type t
 
 val create : unit -> t
+
 val touch : t -> thread:int -> file:int -> block:int -> unit
+(** @raise Invalid_argument when [thread] is outside [[0, 65535]] or
+    [(file, block)] outside [Flo_storage.Block]'s packing range (file
+    [< 2^26], block [< 2^36]). *)
 
 val requests : t -> int
 (** Touches recorded (block requests, not distinct blocks). *)

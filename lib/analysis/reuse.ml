@@ -4,12 +4,14 @@
    "1" at the sequence slot of its most recent touch, so the number of
    distinct blocks touched strictly between two touches of the same block is
    a prefix-sum difference.  O(log n) per touch, O(n) memory in the stream
-   length. *)
+   length.  The last-touch map is a dense-id column over packed block keys
+   (Packed). *)
 
 type t = {
   mutable tree : int array;  (* 1-based Fenwick array over touch slots *)
   mutable n : int;  (* touch slots used so far *)
-  last : (int * int, int) Hashtbl.t;  (* (file, block) -> slot of last touch *)
+  blocks : Packed.t;  (* packed block key -> block id *)
+  mutable last : int array;  (* block id -> slot of its last touch *)
   hist : Flo_obs.Histogram.t;
   mutable cold : int;
 }
@@ -20,7 +22,8 @@ let create () =
   {
     tree = Array.make 64 0;
     n = 0;
-    last = Hashtbl.create 256;
+    blocks = Packed.create ();
+    last = Array.make 64 0;
     hist = Flo_obs.Histogram.create ~lo:1.0 ~gamma:2.0 ~buckets:32 ();
     cold = 0;
   }
@@ -44,7 +47,9 @@ let ensure t slot =
   if slot > cap t then begin
     let cap' = max slot (2 * cap t) in
     t.tree <- Array.make (cap' + 1) 0;
-    Hashtbl.iter (fun _ s -> update t s 1) t.last
+    for id = 0 to Packed.length t.blocks - 1 do
+      update t t.last.(id) 1
+    done
   end
 
 (* number of "last touches" at slots <= i *)
@@ -57,27 +62,31 @@ let query t i =
   !acc
 
 let touch t ~file ~block =
+  let key = Packed.block ~file ~block in
   let s = t.n + 1 in
   ensure t s;
   t.n <- s;
-  let key = (file, block) in
-  match Hashtbl.find_opt t.last key with
-  | None ->
+  let id = Packed.intern t.blocks key in
+  if id >= Array.length t.last then t.last <- Packed.grow t.last id 0;
+  (* slots are 1-based, so 0 marks a block not touched before *)
+  let p = t.last.(id) in
+  t.last.(id) <- s;
+  if p = 0 then begin
     t.cold <- t.cold + 1;
-    Hashtbl.add t.last key s;
     update t s 1;
     None
-  | Some p ->
+  end
+  else begin
     let d = query t (s - 1) - query t p in
     update t p (-1);
     update t s 1;
-    Hashtbl.replace t.last key s;
     Flo_obs.Histogram.add t.hist (float_of_int d);
     Some d
+  end
 
 let touches t = t.n
 let cold_touches t = t.cold
-let distinct_blocks t = Hashtbl.length t.last
+let distinct_blocks t = Packed.length t.blocks
 let histogram t = t.hist
 
 let reuses t = Flo_obs.Histogram.count t.hist

@@ -9,7 +9,10 @@
     directly against cache capacities.
 
     Incremental: feed touches in stream order; each costs [O(log n)] via a
-    Fenwick tree over touch slots. *)
+    Fenwick tree over touch slots.  Memory is O(distinct blocks) for the
+    last-touch column, keyed by packed [(file, block)] ints, plus O(touches)
+    for the tree.  {!Analyzer} feeds a cache's view only when a reader asks
+    for it. *)
 
 type t
 
@@ -18,7 +21,9 @@ val create : unit -> t
 val touch : t -> file:int -> block:int -> int option
 (** Record the next touch of the stream.  [None] for a cold (first-ever)
     touch — its distance is infinite; [Some d] with the reuse distance
-    otherwise ([0] = immediate re-touch). *)
+    otherwise ([0] = immediate re-touch).
+    @raise Invalid_argument when [(file, block)] is outside
+    [Flo_storage.Block]'s packing range. *)
 
 val touches : t -> int
 (** Total touches recorded. *)

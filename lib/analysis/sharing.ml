@@ -1,17 +1,16 @@
 (* Inter-thread block sharing and eviction conflicts for one shared cache.
 
-   Sharing is set-intersection cardinality over the per-block toucher sets;
+   Sharing is set-intersection cardinality over the per-block toucher
+   bitsets (Touchers), whose running counters give the scalars in O(1);
    conflicts attribute each eviction to the pair (evictor, first thread to
-   miss on the victim afterwards).  Both are computed incrementally from the
-   cache's event stream in O(1) amortized per event (matrices are
-   materialized on demand). *)
-
-module Iset = Set.Make (Int)
+   miss on the victim afterwards).  One probe per event finds the block's
+   id, and with it the bitset, degree and pending evictor; the matrices are
+   materialized on demand. *)
 
 type t = {
-  touched : (int * int, Iset.t ref) Hashtbl.t;  (* (file, block) -> toucher set *)
-  pending : (int * int, int) Hashtbl.t;  (* victim -> evicting thread *)
-  conflicts : (int * int, int) Hashtbl.t;  (* (evictor, sufferer) -> count *)
+  blocks : Touchers.t;
+  mutable pending : int array;  (* block id -> evicting thread, -1 for none *)
+  conflicts : (int, int) Hashtbl.t;  (* evictor lsl id_bits lor sufferer -> count *)
   mutable max_thread : int;
   mutable touches : int;
   mutable evictions : int;
@@ -19,8 +18,8 @@ type t = {
 
 let create () =
   {
-    touched = Hashtbl.create 256;
-    pending = Hashtbl.create 64;
+    blocks = Touchers.create ();
+    pending = Array.make 64 (-1);
     conflicts = Hashtbl.create 64;
     max_thread = -1;
     touches = 0;
@@ -28,84 +27,110 @@ let create () =
   }
 
 let note_thread t thread =
-  if thread < 0 then invalid_arg "Sharing: negative thread id";
+  Packed.check_id "thread" thread;
   if thread > t.max_thread then t.max_thread <- thread
 
+let block_id t key =
+  let id = Touchers.intern t.blocks key in
+  if id >= Array.length t.pending then t.pending <- Packed.grow t.pending id (-1);
+  id
+
 let touch t ~thread ~file ~block ~hit =
+  let key = Packed.block ~file ~block in
   note_thread t thread;
   t.touches <- t.touches + 1;
-  let key = (file, block) in
-  (match Hashtbl.find_opt t.pending key with
-  | Some evictor ->
+  let id = block_id t key in
+  let evictor = t.pending.(id) in
+  if evictor >= 0 then begin
     (* first touch after an eviction resolves it: a *miss* by another
        thread means the evictor threw out a block that thread still
        needed; a hit means something (prefetch, demote) re-installed the
        block first and the eviction hurt nobody *)
-    Hashtbl.remove t.pending key;
-    if (not hit) && thread <> evictor then
-      Hashtbl.replace t.conflicts (evictor, thread)
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.conflicts (evictor, thread)))
-  | None -> ());
-  match Hashtbl.find_opt t.touched key with
-  | Some set -> if not (Iset.mem thread !set) then set := Iset.add thread !set
-  | None -> Hashtbl.add t.touched key (ref (Iset.singleton thread))
+    t.pending.(id) <- -1;
+    if (not hit) && thread <> evictor then begin
+      let pair = (evictor lsl Packed.id_bits) lor thread in
+      Hashtbl.replace t.conflicts pair
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.conflicts pair))
+    end
+  end;
+  ignore (Touchers.add t.blocks id thread)
 
 let evict t ~thread ~file ~block =
+  let key = Packed.block ~file ~block in
   note_thread t thread;
   t.evictions <- t.evictions + 1;
   (* an unresolved earlier eviction of the same block stays unresolved:
      nobody asked for the block in between, so it charged no conflict *)
-  Hashtbl.replace t.pending (file, block) thread
+  t.pending.(block_id t key) <- thread
 
 let threads t = t.max_thread + 1
 let touches t = t.touches
 let evictions t = t.evictions
-let distinct_blocks t = Hashtbl.length t.touched
+let distinct_blocks t = Touchers.touched t.blocks
 
-let shared t =
-  let n = threads t in
+let shared_among t ids =
+  let n = List.length ids in
   let m = Array.make_matrix n n 0 in
+  (* dense toucher index -> position in [ids] *)
+  let pos = Array.make (Touchers.threads t.blocks) (-1) in
+  List.iteri
+    (fun i thread ->
+      let d = Touchers.dense t.blocks thread in
+      if d >= 0 then pos.(d) <- i)
+    ids;
+  let members = Array.make (Touchers.threads t.blocks) 0 in
+  for id = 0 to Touchers.blocks t.blocks - 1 do
+    let k = ref 0 in
+    Touchers.iter_members t.blocks id (fun d ->
+        if pos.(d) >= 0 then begin
+          members.(!k) <- pos.(d);
+          incr k
+        end);
+    for a = 0 to !k - 1 do
+      let row = m.(members.(a)) in
+      for b = 0 to !k - 1 do
+        row.(members.(b)) <- row.(members.(b)) + 1
+      done
+    done
+  done;
+  m
+
+let conflicts_among t ids =
+  let n = List.length ids in
+  let m = Array.make_matrix n n 0 in
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i thread -> Hashtbl.replace pos thread i) ids;
   Hashtbl.iter
-    (fun _ set ->
-      let members = Iset.elements !set in
-      List.iter
-        (fun i -> List.iter (fun j -> m.(i).(j) <- m.(i).(j) + 1) members)
-        members)
-    t.touched;
+    (fun pair c ->
+      match
+        ( Hashtbl.find_opt pos (pair lsr Packed.id_bits),
+          Hashtbl.find_opt pos (pair land Packed.max_id) )
+      with
+      | Some e, Some s -> m.(e).(s) <- m.(e).(s) + c
+      | _ -> ())
+    t.conflicts;
   m
 
-let conflicts t =
-  let n = threads t in
-  let m = Array.make_matrix n n 0 in
-  Hashtbl.iter (fun (e, s) c -> m.(e).(s) <- m.(e).(s) + c) t.conflicts;
-  m
+let all_threads t = List.init (threads t) Fun.id
+let shared t = shared_among t (all_threads t)
+let conflicts t = conflicts_among t (all_threads t)
 
 let distinct_of t ~thread =
-  Hashtbl.fold
-    (fun _ set acc -> if Iset.mem thread !set then acc + 1 else acc)
-    t.touched 0
+  let d = Touchers.dense t.blocks thread in
+  let acc = ref 0 in
+  if d >= 0 then
+    for id = 0 to Touchers.blocks t.blocks - 1 do
+      if Touchers.mem t.blocks id d then incr acc
+    done;
+  !acc
 
-let cross_shared t =
-  Hashtbl.fold
-    (fun _ set acc ->
-      let k = Iset.cardinal !set in
-      acc + (k * (k - 1) / 2))
-    t.touched 0
-
-let shared_blocks t =
-  Hashtbl.fold
-    (fun _ set acc -> if Iset.cardinal !set > 1 then acc + 1 else acc)
-    t.touched 0
-
+let cross_shared t = Touchers.pairs t.blocks
+let shared_blocks t = Touchers.shared t.blocks
 let total_conflicts t = Hashtbl.fold (fun _ c acc -> acc + c) t.conflicts 0
 
 let active_threads t =
-  let seen = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ set -> Iset.iter (fun th -> Hashtbl.replace seen th ()) !set)
-    t.touched;
-  Hashtbl.iter (fun (e, s) _ ->
-      Hashtbl.replace seen e ();
-      Hashtbl.replace seen s ())
-    t.conflicts;
-  List.sort compare (Hashtbl.fold (fun th () acc -> th :: acc) seen [])
+  let touchers = List.init (Touchers.threads t.blocks) (Touchers.thread t.blocks) in
+  let pairs = Hashtbl.fold (fun pair _ acc -> pair :: acc) t.conflicts [] in
+  List.sort_uniq compare
+    (touchers
+    @ List.concat_map (fun p -> [ p lsr Packed.id_bits; p land Packed.max_id ]) pairs)

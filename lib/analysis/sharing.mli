@@ -3,7 +3,12 @@
     (minimize the blocks thread pairs co-touch inside a shared cache).
 
     Feed the cache's lookup stream through {!touch} and its evictions
-    through {!evict}, in trace order. *)
+    through {!evict}, in trace order.  One probe of a packed-key table
+    finds an event's block with its toucher bitset, degree and pending
+    evictor; {!cross_shared} and {!shared_blocks} are running counters,
+    and the matrices are built when asked for.  Memory is
+    O(distinct blocks × ⌈distinct threads / 63⌉) words: a toucher bitset,
+    a degree and a pending evictor per block, plus a small conflict table. *)
 
 type t
 
@@ -12,11 +17,13 @@ val create : unit -> t
 val touch : t -> thread:int -> file:int -> block:int -> hit:bool -> unit
 (** One lookup ([hit = true] for a cache hit, [false] for a miss) of
     [(file, block)] at this cache on behalf of [thread].
-    @raise Invalid_argument on a negative thread id. *)
+    @raise Invalid_argument when [thread] is outside [[0, 65535]] or
+    [(file, block)] outside [Flo_storage.Block]'s packing range. *)
 
 val evict : t -> thread:int -> file:int -> block:int -> unit
 (** The cache evicted [(file, block)] while serving a request of
-    [thread]. *)
+    [thread].  A block seen only through evictions counts as touched by
+    nobody.  @raise Invalid_argument as {!touch}. *)
 
 val threads : t -> int
 (** [1 + ] the largest thread id seen; matrix dimensions. *)
@@ -37,6 +44,15 @@ val conflicts : t -> int array array
     threw out a block [s] still needed.  Each eviction charges at most one
     conflict; evictions whose victim is first re-installed (prefetch,
     demote) or re-missed by the evictor itself charge none. *)
+
+val shared_among : t -> int list -> int array array
+(** [shared_among t ids]: the [|ids| × |ids|] submatrix of {!shared} over
+    the listed (distinct) thread ids, in list order, built without the
+    full matrix — a report over a cache's {!active_threads} stays small
+    however large their ids are. *)
+
+val conflicts_among : t -> int list -> int array array
+(** The same submatrix of {!conflicts}. *)
 
 val distinct_of : t -> thread:int -> int
 (** Distinct blocks [thread] touched here ([= shared.(t).(t)]). *)

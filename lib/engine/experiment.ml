@@ -135,8 +135,8 @@ let chaos ?(scales = [ 0.; 0.5; 1.; 2. ]) ?caching ?scope ?jobs ~plan config app
 (* The fidelity loop: run with a live analyzer attached, recompute the
    compiler-side predictions under the same parallelization parameters (or
    deliberately different ones via [predict_block_elems]), and join. *)
-let fidelity ?tolerance ?mapping ?(sample = 1) ?predict_block_elems ~layouts config
-    app =
+let observe_and_join ?tolerance ?mapping ?(sample = 1) ?predict_block_elems ~layouts
+    config app =
   let analyzer = Flo_analysis.Analyzer.create () in
   let result =
     Run.run ?mapping ~sample ~sink:(Flo_analysis.Analyzer.sink analyzer) ~config
@@ -153,26 +153,20 @@ let fidelity ?tolerance ?mapping ?(sample = 1) ?predict_block_elems ~layouts con
       ~threads:(Config.threads config) ~name:app.App.name ~layouts
       app.App.program
   in
-  (Flo_fidelity.Fidelity.join ?tolerance ~predict ~observed:analyzer (), result)
+  (analyzer, Flo_fidelity.Fidelity.join ?tolerance ~predict ~observed:analyzer (), result)
+
+let fidelity ?tolerance ?mapping ?sample ?predict_block_elems ~layouts config app =
+  let _, join, result =
+    observe_and_join ?tolerance ?mapping ?sample ?predict_block_elems ~layouts config app
+  in
+  (join, result)
 
 (* One observation window for the drift watch: the fidelity loop's run,
    distilled into the plain-value signal Flo_fidelity.Drift folds.  The
    sharing matrix is the element-wise sum over the storage-node caches
    (threads are global indices, so cells never collide across nodes). *)
-let drift_signal ?mapping ?(sample = 1) ~layouts config app =
-  let analyzer = Flo_analysis.Analyzer.create () in
-  let result =
-    Run.run ?mapping ~sample ~sink:(Flo_analysis.Analyzer.sink analyzer) ~config
-      ~layouts app
-  in
-  let predict =
-    Flo_fidelity.Predict.compute
-      ~blocks_per_thread:config.Config.blocks_per_thread ~sample
-      ~block_elems:config.Config.topology.Topology.block_elems
-      ~threads:(Config.threads config) ~name:app.App.name ~layouts
-      app.App.program
-  in
-  let join = Flo_fidelity.Fidelity.join ~predict ~observed:analyzer () in
+let drift_signal ?mapping ?sample ~layouts config app =
+  let analyzer, join, result = observe_and_join ?mapping ?sample ~layouts config app in
   let add_matrix a b =
     let dim m = Array.length m in
     let n = max (dim a) (dim b) in

@@ -87,14 +87,6 @@ let matrix ~label m =
           (fun i row -> label i :: Array.to_list (Array.map string_of_int row))
           m))
 
-(* the rows/columns of [m] selected by [idx] (e.g. only active threads) *)
-let submatrix ~label idx m =
-  table
-    ~header:("" :: List.map label idx)
-    (List.map
-       (fun i -> label i :: List.map (fun j -> string_of_int m.(i).(j)) idx)
-       idx)
-
 let thread_label i = Printf.sprintf "t%d" i
 
 let reuse_summary_row name (r : Flo_analysis.Reuse.t) =
@@ -174,9 +166,12 @@ let analysis_summary ?(max_matrix = 16) a =
         let active = S.active_threads s in
         let n = List.length active in
         if n > 1 then begin
+          (* matrices over the active threads only, |active|^2 cells *)
+          let ids = Array.of_list active in
+          let label i = thread_label ids.(i) in
           let body = Buffer.create 512 in
           if n <= max_matrix then begin
-            Buffer.add_string body (submatrix ~label:thread_label active (S.shared s));
+            Buffer.add_string body (matrix ~label (S.shared_among s active));
             Buffer.add_char body '\n'
           end;
           Buffer.add_string body
@@ -191,7 +186,7 @@ let analysis_summary ?(max_matrix = 16) a =
           let conflict_body = Buffer.create 512 in
           if n <= max_matrix && S.total_conflicts s > 0 then begin
             Buffer.add_string conflict_body
-              (submatrix ~label:thread_label active (S.conflicts s));
+              (matrix ~label (S.conflicts_among s active));
             Buffer.add_char conflict_body '\n'
           end;
           Buffer.add_string conflict_body

@@ -37,9 +37,6 @@ val print_latency : title:string -> Flo_obs.Histogram.t -> unit
 val matrix : label:(int -> string) -> int array array -> string
 (** Square matrix as a table with [label i] row/column headers. *)
 
-val submatrix : label:(int -> string) -> int list -> int array array -> string
-(** Only the rows/columns listed (e.g. a cache's active threads). *)
-
 val reuse_header : string list
 val reuse_summary_row : string -> Flo_analysis.Reuse.t -> string list
 

@@ -111,6 +111,23 @@ let prop_sharing_matrix_laws =
       && !total <= Flo_analysis.Sharing.evictions s
       && Flo_analysis.Sharing.shared_blocks s <= Flo_analysis.Sharing.distinct_blocks s)
 
+(* the report's matrices over a cache's active threads: the listed
+   rows/columns of the full ones, in list order *)
+let prop_sharing_submatrix_law =
+  QCheck.Test.make ~name:"sharing submatrices = listed rows/columns of the full"
+    ~count:200
+    QCheck.(pair sharing_ops_arb (small_list (int_range 0 5)))
+    (fun (ops, ids) ->
+      let s = build_sharing ops in
+      let ids = List.sort_uniq compare ids in
+      let sub m =
+        let n = Array.length m in
+        let cell i j = if i < n && j < n then m.(i).(j) else 0 in
+        Array.of_list (List.map (fun i -> Array.of_list (List.map (cell i) ids)) ids)
+      in
+      Flo_analysis.Sharing.shared_among s ids = sub (Flo_analysis.Sharing.shared s)
+      && Flo_analysis.Sharing.conflicts_among s ids = sub (Flo_analysis.Sharing.conflicts s))
+
 (* Locality's counts against a from-scratch recount of the same touches;
    small ranges so blocks repeat within and across threads *)
 let prop_locality_counting_law =
@@ -146,19 +163,284 @@ let prop_locality_counting_law =
       && L.cross_pairs l
          = List.fold_left (fun acc b -> acc + (degree b * (degree b - 1) / 2)) 0 blocks)
 
+(* ---- Analyzer views: every reading = a from-scratch recount ----------- *)
+
+(* Random streams over 2 layers x 3 nodes, threads 0-130, and few blocks
+   (so they repeat within and across threads).  Node 0 takes most of the
+   events, so its views see more than 63 distinct threads and their toucher
+   sets cross the bitsets' word boundary.  Evictions may precede a block's
+   first lookup; Disk_read and unknown kinds must leave the views alone. *)
+let view_event_gen =
+  let open QCheck.Gen in
+  let* kind =
+    frequency
+      [
+        (3, return E.Access); (3, return E.Hit); (3, return E.Miss); (2, return E.Evict);
+        (1, return E.Disk_read); (1, return (E.Other "spill"));
+      ]
+  in
+  let* layer = oneofl [ E.L1; E.L2 ] in
+  let* node = frequency [ (4, return 0); (1, return 1); (1, return 2) ] in
+  let* thread = int_range 0 130 in
+  let* file = int_range 0 2 in
+  let* block = int_range 0 5 in
+  return (E.make ~time_us:0. ~kind ~layer ~node ~thread ~file ~block ())
+
+let pp_view_event (e : E.t) =
+  Printf.sprintf "%s %s/%d t%d %d:%d" (E.kind_to_string e.E.kind)
+    (E.layer_to_string e.E.layer) e.E.node e.E.thread e.E.file e.E.block
+
+(* a stream and a cut: the law reads every view at the cut, feeds the
+   rest, and reads again *)
+let view_stream_arb =
+  QCheck.make
+    ~print:(fun (evs, cut) ->
+      Printf.sprintf "cut %d: %s" cut (String.concat "; " (List.map pp_view_event evs)))
+    QCheck.Gen.(
+      let* evs = list_size (int_range 0 700) view_event_gen in
+      let* cut = int_range 0 (List.length evs) in
+      return (evs, cut))
+
+module Iset = Set.Make (Int)
+
+(* LRU stack distance of every lookup, by brute force: the distinct blocks
+   named since the block's previous lookup ([None] when cold) *)
+let brute_distances stream =
+  let arr = Array.of_list stream in
+  Array.to_list
+    (Array.mapi
+       (fun i b ->
+         let rec back j seen =
+           if j < 0 then None
+           else if arr.(j) = b then Some (List.length (List.sort_uniq compare seen))
+           else back (j - 1) (arr.(j) :: seen)
+         in
+         back (i - 1) [])
+       arr)
+
+let reuse_hist distances =
+  let h = Flo_obs.Histogram.create ~lo:1.0 ~gamma:2.0 ~buckets:32 () in
+  List.iter (Option.iter (fun d -> Flo_obs.Histogram.add h (float_of_int d))) distances;
+  h
+
+let layer_rank = function E.L1 -> 0 | E.L2 -> 1 | E.Disk -> 2
+
+(* the recount's reading of one cache, in the shape of the public API *)
+type cache_reading = {
+  c_threads : int;
+  c_touches : int;
+  c_evictions : int;
+  c_distinct : int;
+  c_shared : int array array;
+  c_conflicts : int array array;
+  c_cross : int;
+  c_shared_blocks : int;
+  c_active : int list;
+  c_distinct_of : int list;  (* thread 0 .. c_threads - 1 *)
+  c_reuse : (int * int * int * int array) option;  (* touches, cold, distinct, counts *)
+}
+
+let recount_cache evs (layer, node) =
+  let touched = Hashtbl.create 16 and pending = Hashtbl.create 16 in
+  let conflicts = Hashtbl.create 16 in
+  let max_thread = ref (-1) and touches = ref 0 and evictions = ref 0 in
+  let stream = ref [] in
+  List.iter
+    (fun (e : E.t) ->
+      if e.E.layer = layer && e.E.node = node then begin
+        let key = (e.E.file, e.E.block) in
+        match e.E.kind with
+        | E.Hit | E.Miss ->
+          max_thread := max !max_thread e.E.thread;
+          incr touches;
+          stream := key :: !stream;
+          (match Hashtbl.find_opt pending key with
+          | Some ev ->
+            Hashtbl.remove pending key;
+            if e.E.kind = E.Miss && ev <> e.E.thread then
+              Hashtbl.replace conflicts (ev, e.E.thread)
+                (1 + Option.value ~default:0 (Hashtbl.find_opt conflicts (ev, e.E.thread)))
+          | None -> ());
+          let set = Option.value ~default:Iset.empty (Hashtbl.find_opt touched key) in
+          Hashtbl.replace touched key (Iset.add e.E.thread set)
+        | E.Evict ->
+          max_thread := max !max_thread e.E.thread;
+          incr evictions;
+          Hashtbl.replace pending key e.E.thread
+        | _ -> ()
+      end)
+    evs;
+  let n = !max_thread + 1 in
+  let sets = Hashtbl.fold (fun _ set acc -> set :: acc) touched [] in
+  let shared = Array.make_matrix n n 0 in
+  List.iter
+    (fun set ->
+      Iset.iter (fun i -> Iset.iter (fun j -> shared.(i).(j) <- shared.(i).(j) + 1) set) set)
+    sets;
+  let degree s = Iset.cardinal s in
+  let stream = List.rev !stream in
+  let distances = brute_distances stream in
+  {
+    c_threads = n;
+    c_touches = !touches;
+    c_evictions = !evictions;
+    c_distinct = List.length sets;
+    c_shared = shared;
+    c_conflicts =
+      Array.init n (fun i ->
+          Array.init n (fun j -> Option.value ~default:0 (Hashtbl.find_opt conflicts (i, j))));
+    c_cross = List.fold_left (fun acc s -> acc + (degree s * (degree s - 1) / 2)) 0 sets;
+    c_shared_blocks = List.length (List.filter (fun s -> degree s > 1) sets);
+    c_active =
+      Iset.elements
+        (Hashtbl.fold
+           (fun (i, j) _ acc -> Iset.add i (Iset.add j acc))
+           conflicts
+           (List.fold_left Iset.union Iset.empty sets));
+    c_distinct_of = List.init n (fun i -> List.length (List.filter (Iset.mem i) sets));
+    c_reuse =
+      (if stream = [] then None
+       else
+         Some
+           ( List.length stream,
+             List.length (List.filter Option.is_none distances),
+             List.length (List.sort_uniq compare stream),
+             Flo_obs.Histogram.counts (reuse_hist distances) ));
+  }
+
+let read_cache a c =
+  let module S = Flo_analysis.Sharing in
+  let module R = Flo_analysis.Reuse in
+  let s = Option.get (A.sharing_of a c) in
+  let n = S.threads s in
+  {
+    c_threads = n;
+    c_touches = S.touches s;
+    c_evictions = S.evictions s;
+    c_distinct = S.distinct_blocks s;
+    c_shared = S.shared s;
+    c_conflicts = S.conflicts s;
+    c_cross = S.cross_shared s;
+    c_shared_blocks = S.shared_blocks s;
+    c_active = S.active_threads s;
+    c_distinct_of = List.init n (fun thread -> S.distinct_of s ~thread);
+    c_reuse =
+      Option.map
+        (fun r ->
+          ( R.touches r, R.cold_touches r, R.distinct_blocks r,
+            Flo_obs.Histogram.counts (R.histogram r) ))
+        (A.reuse_of a c);
+  }
+
+(* every public reading of the analyzer, and the recount's *)
+let read_views a =
+  let module L = Flo_analysis.Locality in
+  let l = A.locality a in
+  let caches = List.map (fun (c : A.cache) -> (c.A.layer, c.A.node)) (A.caches a) in
+  ( caches,
+    ( L.requests l, L.threads l, L.files l, L.per_thread l,
+      (L.distinct_blocks l, L.shared_blocks l, L.cross_pairs l) ),
+    List.map (fun (layer, node) -> read_cache a { A.layer; node }) caches,
+    List.map
+      (fun layer ->
+        ( A.cross_shared_at a layer, A.conflicts_at a layer,
+          Flo_obs.Histogram.counts (A.reuse_histogram_at a layer) ))
+      [ E.L1; E.L2 ] )
+
+let recount_views evs =
+  let caches =
+    List.filter_map
+      (fun (e : E.t) ->
+        match e.E.kind with
+        | E.Hit | E.Miss | E.Evict -> Some (e.E.layer, e.E.node)
+        | _ -> None)
+      evs
+    |> List.sort_uniq (fun (l, n) (l', n') -> compare (layer_rank l, n) (layer_rank l', n'))
+  in
+  let touches =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : E.t) ->
+           if e.E.kind = E.Access then Some (e.E.thread, e.E.file, e.E.block) else None)
+         evs)
+  in
+  let requests = List.length (List.filter (fun (e : E.t) -> e.E.kind = E.Access) evs) in
+  let blocks = List.sort_uniq compare (List.map (fun (_, f, b) -> (f, b)) touches) in
+  let degree fb = List.length (List.filter (fun (_, f, b) -> (f, b) = fb) touches) in
+  let threads = List.sort_uniq compare (List.map (fun (t, _, _) -> t) touches) in
+  let per_thread =
+    List.map
+      (fun th ->
+        let files =
+          List.sort_uniq compare
+            (List.filter_map (fun (t, f, _) -> if t = th then Some f else None) touches)
+        in
+        ( th,
+          List.map
+            (fun f -> (f, List.length (List.filter (fun (t, f', _) -> t = th && f' = f) touches)))
+            files ))
+      threads
+  in
+  let readings = List.map (recount_cache evs) caches in
+  let layer_sum layer f =
+    List.fold_left2
+      (fun acc (l, _) r -> if l = layer then acc + f r else acc)
+      0 caches readings
+  in
+  (* a layer without lookups reads as the empty merge *)
+  let layer_hist layer =
+    let counts =
+      List.concat
+        (List.map2
+           (fun (l, _) r ->
+             match r.c_reuse with
+             | Some (_, _, _, counts) when l = layer -> [ counts ]
+             | _ -> [])
+           caches readings)
+    in
+    match counts with
+    | [] -> Flo_obs.Histogram.counts (Flo_obs.Histogram.merge_list [])
+    | c :: rest -> List.fold_left (Array.map2 ( + )) c rest
+  in
+  ( caches,
+    ( requests,
+      List.fold_left (fun acc t -> max acc (t + 1)) 0 threads,
+      List.sort_uniq compare (List.map (fun (_, f, _) -> f) touches),
+      per_thread,
+      ( List.length blocks,
+        List.length (List.filter (fun b -> degree b >= 2) blocks),
+        List.fold_left (fun acc b -> acc + (degree b * (degree b - 1) / 2)) 0 blocks ) ),
+    readings,
+    List.map
+      (fun layer ->
+        ( layer_sum layer (fun r -> r.c_cross),
+          layer_sum layer (fun r ->
+              Array.fold_left (Array.fold_left ( + )) 0 r.c_conflicts),
+          layer_hist layer ))
+      [ E.L1; E.L2 ] )
+
+let prop_views_recount_law =
+  QCheck.Test.make ~name:"analyzer views = recount of the stream" ~count:150
+    view_stream_arb (fun (evs, cut) ->
+      let a = A.create () in
+      let prefix = List.filteri (fun i _ -> i < cut) evs in
+      List.iter (A.feed a) prefix;
+      let at_cut = read_views a in
+      List.iter (A.feed a) (List.filteri (fun i _ -> i >= cut) evs);
+      at_cut = recount_views prefix && read_views a = recount_views evs)
+
 (* ---- Golden trace fixture: exact values -------------------------------- *)
 
 (* data/golden_trace.jsonl is a hand-written 9-request trace: 2 threads over
    file 0 blocks {0..3}, one L1 (cap 2) and one L2 (cap 3).  Every number
    below is derived by hand in the fixture's construction. *)
+(* cwd is [_build/default/test] under [dune runtest], the workspace root
+   under [dune exec test/main.exe] *)
+let data_path name =
+  if Sys.file_exists ("data/" ^ name) then "data/" ^ name else "test/data/" ^ name
+
 let load_golden () =
-  (* cwd is [_build/default/test] under [dune runtest], the workspace root
-     under [dune exec test/main.exe] *)
-  let path =
-    if Sys.file_exists "data/golden_trace.jsonl" then "data/golden_trace.jsonl"
-    else "test/data/golden_trace.jsonl"
-  in
-  match A.load_file ~keep_events:true path with
+  match A.load_file ~keep_events:true (data_path "golden_trace.jsonl") with
   | Ok a -> a
   | Error e ->
     Alcotest.failf "golden trace did not parse: %s" (A.load_error_to_string e)
@@ -411,7 +693,11 @@ let test_analyzer_error_reporting () =
   | Ok _ | Error (A.Malformed _) -> Alcotest.fail "directory loaded as a trace"
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ prop_sharing_matrix_laws; prop_locality_counting_law ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_sharing_matrix_laws; prop_sharing_submatrix_law; prop_locality_counting_law;
+      prop_views_recount_law;
+    ]
 
 let suite =
   [
@@ -480,16 +766,100 @@ let test_bad_trace_fixture () =
   (* the checked-in fixture behind `flopt analyze` exit-code behavior: line 3
      is the malformed one (line 2 is blank and must be skipped, not counted
      as an error) *)
-  let path =
-    if Sys.file_exists "data/bad_trace.jsonl" then "data/bad_trace.jsonl"
-    else "test/data/bad_trace.jsonl"
-  in
-  match A.load_file path with
+  match A.load_file (data_path "bad_trace.jsonl") with
   | Ok _ -> Alcotest.fail "bad fixture accepted"
   | Error (A.Malformed { line; msg }) ->
     check "offending line" 3 line;
     checkb "message not empty" true (String.length msg > 0)
   | Error (A.Io msg) -> Alcotest.failf "expected Malformed, got Io: %s" msg
+
+(* ---- Reuse distances are computed when read ----------------------------- *)
+
+(* a lookup stream with repeats, interleaved with events that never reach
+   the reuse view: accesses, evictions and another cache's lookups *)
+let test_reuse_read_mid_stream () =
+  let a = A.create () in
+  let eager = Flo_analysis.Reuse.create () in
+  let c = { A.layer = E.L1; node = 1 } in
+  let feed_range lo hi =
+    for i = lo to hi - 1 do
+      let file = i mod 3 and block = i * 7 mod 11 and thread = i mod 5 in
+      let ev kind layer node = E.make ~time_us:(float_of_int i) ~kind ~layer ~node ~thread ~file ~block () in
+      A.feed a (ev E.Access E.L1 1);
+      A.feed a (ev (if i mod 4 = 0 then E.Hit else E.Miss) E.L1 1);
+      ignore (Flo_analysis.Reuse.touch eager ~file ~block);
+      if i mod 3 = 0 then A.feed a (ev E.Evict E.L1 1);
+      A.feed a (ev E.Miss E.L2 0)
+    done
+  in
+  let reading r =
+    let module R = Flo_analysis.Reuse in
+    ( (R.touches r, R.cold_touches r, R.reuses r, R.distinct_blocks r),
+      Flo_obs.Histogram.counts (R.histogram r),
+      Flo_obs.Histogram.sum (R.histogram r) )
+  in
+  let same name =
+    let want = reading eager in
+    checkb name true (reading (Option.get (A.reuse_of a c)) = want);
+    (* a second read replays nothing twice *)
+    checkb (name ^ ", read again") true (reading (Option.get (A.reuse_of a c)) = want);
+    Alcotest.(check (array int)) (name ^ ", layer histogram")
+      (Flo_obs.Histogram.counts (Flo_analysis.Reuse.histogram eager))
+      (Flo_obs.Histogram.counts (A.reuse_histogram_at a E.L1))
+  in
+  feed_range 0 150;
+  same "mid-stream";
+  feed_range 150 400;
+  same "end of stream";
+  check "lookups counted once" 400 (Flo_analysis.Reuse.touches (Option.get (A.reuse_of a c)))
+
+(* ---- Id ranges: out-of-range traces are malformed, wide ones stay small -- *)
+
+let expect_malformed ~name ~line ~field result =
+  match result with
+  | Ok _ -> Alcotest.failf "%s: out-of-range trace accepted" name
+  | Error (A.Malformed { line = l; msg }) ->
+    check (name ^ ": offending line") line l;
+    checkb (Printf.sprintf "%s: %S names %S" name msg field) true (count_sub msg field > 0)
+  | Error (A.Io msg) -> Alcotest.failf "%s: expected Malformed, got Io: %s" name msg
+
+let test_out_of_range_ids () =
+  (* a negative thread once raised Invalid_argument out of the views, and a
+     huge one sized the sharing matrix by its id *)
+  expect_malformed ~name:"negative thread" ~line:1 ~field:"thread -1"
+    (A.load_file (data_path "neg_thread_trace.jsonl"));
+  expect_malformed ~name:"huge thread" ~line:2 ~field:"thread 40000000000"
+    (A.load_file (data_path "huge_thread_trace.jsonl"));
+  let ok = E.make ~time_us:0. ~kind:E.Hit ~layer:E.L2 ~node:0 ~thread:0 ~file:0 ~block:0 () in
+  List.iter
+    (fun (field, bad) ->
+      let path = Filename.temp_file "flopt_range" ".jsonl" in
+      let oc = open_out path in
+      output_string oc (E.to_json ok ^ "\n" ^ E.to_json bad ^ "\n");
+      close_out oc;
+      let result = A.load_file path in
+      Sys.remove path;
+      expect_malformed ~name:field ~line:2 ~field result)
+    [
+      ("node 65536", { ok with E.node = 65536 });
+      ("file -1", { ok with E.file = -1 });
+      ("file 67108864", { ok with E.file = 1 lsl 26 });
+      ("block 68719476736", { ok with E.block = 1 lsl 36 });
+      ("thread 65536", { ok with E.kind = E.Disk_read; E.layer = E.Disk; E.thread = 65536 });
+    ]
+
+let test_wide_thread_ids () =
+  match A.load_file (data_path "wide_thread_trace.jsonl") with
+  | Error e -> Alcotest.failf "ids 0 and 65535 rejected: %s" (A.load_error_to_string e)
+  | Ok a ->
+    let s = Option.get (A.sharing_of a l2_0) in
+    Alcotest.(check (list int)) "active" [ 0; 65535 ] (Flo_analysis.Sharing.active_threads s);
+    check "cross shared" 1 (Flo_analysis.Sharing.cross_shared s);
+    (* the report's matrix is 2 x 2, not 65536 x 65536 *)
+    checkb "2 x 2 sharing matrix" true
+      (count_sub (Report.analysis_summary a)
+         "        t0  t65535\n------------------\nt0       1       1\nt65535   1       1\n"
+       > 0)
 
 let suite =
   suite
@@ -498,4 +868,7 @@ let suite =
       ("perfetto: single event", `Quick, test_perfetto_single_event);
       ("bad-trace fixture reports line 3", `Quick, test_bad_trace_fixture);
       ("perfetto golden export digest", `Quick, test_perfetto_golden_digest);
+      ("reuse read mid-stream = eager reuse", `Quick, test_reuse_read_mid_stream);
+      ("out-of-range ids are malformed lines", `Quick, test_out_of_range_ids);
+      ("thread ids 0 and 65535: 2 x 2 report", `Quick, test_wide_thread_ids);
     ]
