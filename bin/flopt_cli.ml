@@ -1,24 +1,9 @@
 (* flopt: command-line driver for the file-layout optimization framework.
-
-   Subcommands:
-     apps                      list the 16-application suite
-     plan APP                  show the compiler pass's per-array decisions
-     run APP [options]         simulate one execution and print metrics
-                               (--trace FILE writes a JSONL event trace,
-                                --metrics prints per-node breakdowns and
-                                request-latency percentiles)
-     bench APP [options]       repeated runs; report p50/p99 request latency
-     analyze TRACE [options]   trace analytics: reuse-distance histograms,
-                               inter-thread sharing/conflict matrices,
-                               per-thread distinct-block counts
-                               (--perfetto OUT.json exports a Chrome
-                                trace-event file for ui.perfetto.dev)
-     layout APP ARRAY_ID       dump a sample of the element->offset mapping
-     traffic APP-MIX [options] open-loop multi-tenant traffic over a Zipfian
-                               app mix, sharded across storage-node worker
-                               domains; per-tenant latency percentiles,
-                               fairness and noisy-neighbor deltas
-     topology                  print the default scaled Table 1 system *)
+   `flopt --help` lists the subcommands, from the inspection commands (apps,
+   plan, layout, trace-csv, topology) and single runs (run, bench, analyze,
+   fidelity, drift, chaos) to the traffic engine (traffic, slo, overload,
+   trace), the bench manifests (bench-diff) and the paper's evaluation
+   (reproduce); `flopt SUBCOMMAND --help` documents each one's options. *)
 
 open Cmdliner
 open Flo_engine
@@ -1468,6 +1453,30 @@ let drift_cmd =
     Term.(const run $ suite_app_arg $ mapping_arg $ shifted_arg $ windows_arg
           $ sample_arg $ enter_arg $ exit_arg $ streak_arg $ jobs_arg)
 
+let reproduce_cmd =
+  let doc =
+    "Reproduce the paper's evaluation: each SECTION's table (all 18 if none is named), \
+     then the claims they check, HOLDS, DEVIATES or BROKEN, identical at every --jobs.  \
+     Exits 1 on a BROKEN claim (a pinned deviation that no longer deviates included) and \
+     2 on an unknown section, before anything runs."
+  in
+  let names = Arg.(value & pos_all string [] & info [] ~docv:"SECTION" ~doc:"Sections to print.") in
+  let run names jobs =
+    (* checked here, not by cmdliner, so an unknown name exits 2 *)
+    let sections =
+      match Reproduce.select names with
+      | Ok sections -> sections
+      | Error msg -> Printf.eprintf "flopt: reproduce: %s\n" msg; exit 2
+    in
+    let memo = Reproduce.memo ~jobs:(resolve_jobs jobs) sections in
+    List.iter (fun s -> print_string (Reproduce.render memo s)) sections;
+    let claims = List.concat_map (Reproduce.claims memo) sections in
+    Printf.printf "== Claims: the paper's statements, checked against this run ==\n%s\n"
+      (Reproduce.claims_table claims);
+    if List.exists (fun c -> Reproduce.failed (Reproduce.verdict c)) claims then exit 1
+  in
+  Cmd.v (Cmd.info "reproduce" ~doc) Term.(const run $ names $ jobs_arg)
+
 let topology_cmd =
   let doc = "Print the default (scaled Table 1) system configuration." in
   let run () =
@@ -1485,4 +1494,4 @@ let () =
        (Cmd.group info
           [ apps_cmd; plan_cmd; run_cmd; bench_cmd; analyze_cmd; bench_diff_cmd;
             chaos_cmd; fidelity_cmd; drift_cmd; layout_cmd; trace_csv_cmd;
-            trace_cmd; traffic_cmd; slo_cmd; overload_cmd; topology_cmd ]))
+            trace_cmd; traffic_cmd; slo_cmd; overload_cmd; reproduce_cmd; topology_cmd ]))

@@ -5,7 +5,7 @@
    conflicts attribute each eviction to the pair (evictor, first thread to
    miss on the victim afterwards).  One probe per event finds the block's
    id, and with it the bitset, degree and pending evictor; the matrices are
-   materialized on demand. *)
+   materialized on demand, over the thread ids asked for. *)
 
 type t = {
   blocks : Touchers.t;
@@ -110,10 +110,6 @@ let conflicts_among t ids =
       | _ -> ())
     t.conflicts;
   m
-
-let all_threads t = List.init (threads t) Fun.id
-let shared t = shared_among t (all_threads t)
-let conflicts t = conflicts_among t (all_threads t)
 
 let distinct_of t ~thread =
   let d = Touchers.dense t.blocks thread in

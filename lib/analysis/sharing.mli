@@ -26,39 +26,30 @@ val evict : t -> thread:int -> file:int -> block:int -> unit
     nobody.  @raise Invalid_argument as {!touch}. *)
 
 val threads : t -> int
-(** [1 + ] the largest thread id seen; matrix dimensions. *)
+(** [1 + ] the largest thread id seen. *)
 
 val touches : t -> int
 val evictions : t -> int
 val distinct_blocks : t -> int
 
-val shared : t -> int array array
-(** [shared.(i).(j)] = number of distinct blocks both thread [i] and thread
-    [j] touched at this cache.  Symmetric by construction; the diagonal
-    [shared.(i).(i)] is thread [i]'s distinct-block count (the paper's
-    Step I / Eq. 4 quantity, restricted to this cache's stream). *)
-
-val conflicts : t -> int array array
-(** [conflicts.(e).(s)] = evictions triggered by thread [e] whose victim's
-    {e next} lookup at this cache was a miss by thread [s <> e] — i.e. [e]
-    threw out a block [s] still needed.  Each eviction charges at most one
-    conflict; evictions whose victim is first re-installed (prefetch,
-    demote) or re-missed by the evictor itself charge none. *)
-
 val shared_among : t -> int list -> int array array
-(** [shared_among t ids]: the [|ids| × |ids|] submatrix of {!shared} over
-    the listed (distinct) thread ids, in list order, built without the
-    full matrix — a report over a cache's {!active_threads} stays small
-    however large their ids are. *)
+(** [shared_among t ids]: cell [(a, b)] counts the distinct blocks both
+    thread [ids.(a)] and thread [ids.(b)] touched here; the diagonal is a
+    thread's distinct-block count (Eq. 4 on this cache's stream).  [ids]
+    must be distinct; the matrix is sized by the list, not by the ids. *)
 
 val conflicts_among : t -> int list -> int array array
-(** The same submatrix of {!conflicts}. *)
+(** Cell [(a, b)] counts evictions by thread [ids.(a)] whose victim's
+    {e next} lookup here was a miss by thread [ids.(b)]: the evictor threw
+    out a block the other still needed.  Each eviction charges at most one
+    conflict, never to the evictor; a victim first re-installed (prefetch,
+    demote) or re-missed by the evictor charges none. *)
 
 val distinct_of : t -> thread:int -> int
-(** Distinct blocks [thread] touched here ([= shared.(t).(t)]). *)
+(** Distinct blocks [thread] touched here (its diagonal cell). *)
 
 val cross_shared : t -> int
-(** Sum over unordered thread pairs [i < j] of [shared.(i).(j)] — the
+(** Sum over unordered thread pairs of their shared-block cells — the
     scalar the optimized layout should shrink. *)
 
 val shared_blocks : t -> int

@@ -41,11 +41,6 @@ let reindex_best ?(sample = 4) config app =
   in
   Reindex.optimize app.App.program ~evaluate
 
-let reindex_run ?sample config app =
-  let outcome = reindex_best ?sample config app in
-  let layouts id = List.assoc id outcome.Reindex.layouts in
-  Run.run ~config ~layouts app
-
 let inter_template_run config app =
   let spec0 = Config.spec_for config app.App.program in
   let topo = config.Config.topology in
@@ -162,30 +157,9 @@ let fidelity ?tolerance ?mapping ?sample ?predict_block_elems ~layouts config ap
   (join, result)
 
 (* One observation window for the drift watch: the fidelity loop's run,
-   distilled into the plain-value signal Flo_fidelity.Drift folds.  The
-   sharing matrix is the element-wise sum over the storage-node caches
-   (threads are global indices, so cells never collide across nodes). *)
+   distilled into the plain-value signal Flo_fidelity.Drift folds. *)
 let drift_signal ?mapping ?sample ~layouts config app =
   let analyzer, join, result = observe_and_join ?mapping ?sample ~layouts config app in
-  let add_matrix a b =
-    let dim m = Array.length m in
-    let n = max (dim a) (dim b) in
-    let cell m i j =
-      if i < dim m && j < Array.length m.(i) then m.(i).(j) else 0
-    in
-    Array.init n (fun i -> Array.init n (fun j -> cell a i j + cell b i j))
-  in
-  let sharing =
-    List.fold_left
-      (fun acc (cache : Flo_analysis.Analyzer.cache) ->
-        if cache.Flo_analysis.Analyzer.layer = Flo_obs.Event.L2 then
-          match Flo_analysis.Analyzer.sharing_of analyzer cache with
-          | Some s -> add_matrix acc (Flo_analysis.Sharing.shared s)
-          | None -> acc
-        else acc)
-      [||]
-      (Flo_analysis.Analyzer.caches analyzer)
-  in
   let fidelity_rel =
     let r = Flo_fidelity.Fidelity.max_rel_drift join in
     (* a pair the model did not predict at all reads as total drift *)
@@ -195,6 +169,6 @@ let drift_signal ?mapping ?sample ~layouts config app =
     Flo_fidelity.Drift.miss_l1 = Run.l1_miss_per_element result;
     miss_l2 = Run.l2_miss_per_element result;
     cross_shared = Flo_analysis.Analyzer.cross_shared_at analyzer Flo_obs.Event.L2;
-    sharing;
+    sharing = Flo_fidelity.Drift.sharing_of analyzer;
     fidelity_rel;
   }

@@ -39,9 +39,6 @@ val reindex_best : ?sample:int -> Config.t -> App.t -> Reindex.outcome
     evaluates a sequential one-cache system, the paper's stated limitation
     of prior layout work. *)
 
-val reindex_run : ?sample:int -> Config.t -> App.t -> Run.result
-(** Full-scale run under the layouts {!reindex_best} chose. *)
-
 val inter_template_run : Config.t -> App.t -> Run.result
 (** The Section 4.3 "template hierarchy" extension: a capacity-oblivious
     layout compiled once per fanout template (one-block chunks, minimal

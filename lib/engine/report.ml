@@ -72,10 +72,6 @@ let print_latency ~title h =
   print_endline (latency_summary h);
   print_newline ()
 
-let geomean = function
-  | [] -> 0.
-  | l -> exp (List.fold_left (fun acc x -> acc +. log x) 0. l /. float_of_int (List.length l))
-
 (* ---- trace-analysis rendering ----------------------------------------- *)
 
 let matrix ~label m =

@@ -18,7 +18,6 @@ val ms : float -> string
 (** Microseconds rendered as milliseconds, one decimal. *)
 
 val mean : float list -> float
-val geomean : float list -> float
 
 val stats_header : string list
 val stats_row : string -> Flo_storage.Stats.t -> string list

@@ -6,7 +6,7 @@ type signal = {
   miss_l1 : float;
   miss_l2 : float;
   cross_shared : int;
-  sharing : int array array;
+  sharing : (int * int * int) list;
   fidelity_rel : float;
 }
 
@@ -85,22 +85,19 @@ let create ?(config = default_config) ~baseline () =
    instead of dividing by zero *)
 let rel_delta ~floor base cur = Float.abs (cur -. base) /. Float.max floor base
 
-(* normalized L1 distance between (possibly differently-sized) sharing
-   matrices: sum of absolute cell deltas over the baseline's total mass *)
+(* add [count] to a sparse matrix's cell *)
+let bump cells cell count =
+  Hashtbl.replace cells cell (count + Option.value ~default:0 (Hashtbl.find_opt cells cell))
+
+(* normalized L1 distance between sparse sharing matrices: sum of absolute
+   cell deltas over the baseline's total mass (absent cells are 0) *)
 let matrix_rel a b =
-  let dim m = Array.length m in
-  let n = max (dim a) (dim b) in
-  let cell m i j =
-    if i < dim m && j < Array.length m.(i) then m.(i).(j) else 0
-  in
-  let num = ref 0 and base_mass = ref 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      num := !num + abs (cell a i j - cell b i j);
-      base_mass := !base_mass + cell a i j
-    done
-  done;
-  float_of_int !num /. float_of_int (max 1 !base_mass)
+  let delta = Hashtbl.create 64 in
+  List.iter (fun (i, j, count) -> bump delta (i, j) count) a;
+  List.iter (fun (i, j, count) -> bump delta (i, j) (-count)) b;
+  let num = Hashtbl.fold (fun _ d acc -> acc + abs d) delta 0 in
+  let base_mass = List.fold_left (fun acc (_, _, count) -> acc + count) 0 a in
+  float_of_int num /. float_of_int (max 1 base_mass)
 
 let components base cur =
   [
@@ -168,3 +165,22 @@ let status_line t =
     (f3 t.last)
     (if t.on then "yes" else "no")
     (String.concat "; " (List.map reason_to_string t.on_reasons))
+
+(* summed over the L2 caches: a thread that reads through several storage
+   nodes adds its cells from each; each cache's matrix spans only its
+   active threads, so ids up to 65535 cost nothing extra *)
+let sharing_of analyzer =
+  let module A = Flo_analysis.Analyzer in
+  let cells = Hashtbl.create 256 in
+  let add_cache (cache : A.cache) =
+    match A.sharing_of analyzer cache with
+    | Some s when cache.A.layer = Flo_obs.Event.L2 ->
+      let ids = Flo_analysis.Sharing.active_threads s in
+      let m = Flo_analysis.Sharing.shared_among s ids in
+      List.iteri
+        (fun a i -> List.iteri (fun b j -> if m.(a).(b) > 0 then bump cells (i, j) m.(a).(b)) ids)
+        ids
+    | _ -> ()
+  in
+  List.iter add_cache (A.caches analyzer);
+  List.sort compare (Hashtbl.fold (fun (i, j) count acc -> (i, j, count) :: acc) cells [])

@@ -20,9 +20,10 @@ type signal = {
   miss_l1 : float;  (** L1 misses per element access *)
   miss_l2 : float;  (** L2 misses per element access *)
   cross_shared : int;  (** cross-thread shared blocks observed at L2 *)
-  sharing : int array array;
-      (** thread x thread shared-block matrix at L2 (any square size;
-          matrices of different sizes compare by zero-padding) *)
+  sharing : (int * int * int) list;
+      (** the L2 thread x thread shared-block matrix as sparse
+          [(i, j, count)] cells over global thread ids, ascending, nonzero
+          counts only (see {!sharing_of}); absent cells are 0 *)
   fidelity_rel : float;  (** max relative model-vs-run drift, >= 0 *)
 }
 
@@ -32,7 +33,8 @@ type reason =
   | Miss_rate_drift of { layer : string; baseline : float; current : float; rel : float }
   | Sharing_shift of { baseline : int; current : int; rel : float }
   | Matrix_shift of { rel : float }
-      (** normalized L1 distance between sharing matrices *)
+      (** sum of absolute cell deltas between the sharing matrices, over
+          the baseline's total mass *)
   | Fidelity_degraded of { baseline : float; current : float; rel : float }
 
 val reason_to_string : reason -> string
@@ -81,3 +83,7 @@ val last_score : t -> float
 val status_line : t -> string
 (** One deterministic line:
     [drift windows=N score=S recommend=yes|no reasons=[...]]. *)
+
+val sharing_of : Flo_analysis.Analyzer.t -> (int * int * int) list
+(** The {!signal}'s [sharing]: the L2 caches' {!Flo_analysis.Sharing.shared_among}
+    matrices over their active threads, summed cell by cell. *)

@@ -58,8 +58,9 @@ let test_sharing_hand_example () =
   check "evictions" 3 (Flo_analysis.Sharing.evictions s);
   check "distinct blocks" 3 (Flo_analysis.Sharing.distinct_blocks s);
   (* t0 touched {0,1,2}, t1 touched {0,2}; both: {0,2} *)
-  checkm "shared matrix" [| [| 3; 2 |]; [| 2; 2 |] |] (Flo_analysis.Sharing.shared s);
-  checkm "conflict matrix" [| [| 0; 1 |]; [| 1; 0 |] |] (Flo_analysis.Sharing.conflicts s);
+  checkm "shared matrix" [| [| 3; 2 |]; [| 2; 2 |] |] (Flo_analysis.Sharing.shared_among s [ 0; 1 ]);
+  checkm "conflict matrix" [| [| 0; 1 |]; [| 1; 0 |] |]
+    (Flo_analysis.Sharing.conflicts_among s [ 0; 1 ]);
   check "cross shared" 2 (Flo_analysis.Sharing.cross_shared s);
   check "shared blocks" 2 (Flo_analysis.Sharing.shared_blocks s);
   check "total conflicts" 2 (Flo_analysis.Sharing.total_conflicts s);
@@ -72,6 +73,9 @@ let sharing_ops_arb =
   QCheck.list_of_size (QCheck.Gen.int_range 0 300)
     (QCheck.triple (QCheck.int_range 0 3) (QCheck.int_range 0 9)
        (QCheck.option QCheck.bool))
+
+(* every id from 0 to the largest seen *)
+let all_ids s = List.init (Flo_analysis.Sharing.threads s) Fun.id
 
 let build_sharing ops =
   let s = Flo_analysis.Sharing.create () in
@@ -87,7 +91,7 @@ let prop_sharing_matrix_laws =
   QCheck.Test.make ~name:"sharing matrix symmetric, diagonal = distinct counts"
     ~count:200 sharing_ops_arb (fun ops ->
       let s = build_sharing ops in
-      let m = Flo_analysis.Sharing.shared s in
+      let m = Flo_analysis.Sharing.shared_among s (all_ids s) in
       let n = Array.length m in
       let sym = ref true and diag = ref true and cross = ref 0 in
       for i = 0 to n - 1 do
@@ -97,7 +101,7 @@ let prop_sharing_matrix_laws =
           if i < j then cross := !cross + m.(i).(j)
         done
       done;
-      let c = Flo_analysis.Sharing.conflicts s in
+      let c = Flo_analysis.Sharing.conflicts_among s (all_ids s) in
       let conflict_ok = ref true and total = ref 0 in
       Array.iteri
         (fun i row ->
@@ -112,7 +116,8 @@ let prop_sharing_matrix_laws =
       && Flo_analysis.Sharing.shared_blocks s <= Flo_analysis.Sharing.distinct_blocks s)
 
 (* the report's matrices over a cache's active threads: the listed
-   rows/columns of the full ones, in list order *)
+   rows/columns of the matrices over every id up to the largest, in list
+   order *)
 let prop_sharing_submatrix_law =
   QCheck.Test.make ~name:"sharing submatrices = listed rows/columns of the full"
     ~count:200
@@ -125,8 +130,10 @@ let prop_sharing_submatrix_law =
         let cell i j = if i < n && j < n then m.(i).(j) else 0 in
         Array.of_list (List.map (fun i -> Array.of_list (List.map (cell i) ids)) ids)
       in
-      Flo_analysis.Sharing.shared_among s ids = sub (Flo_analysis.Sharing.shared s)
-      && Flo_analysis.Sharing.conflicts_among s ids = sub (Flo_analysis.Sharing.conflicts s))
+      let full among = among s (all_ids s) in
+      Flo_analysis.Sharing.shared_among s ids = sub (full Flo_analysis.Sharing.shared_among)
+      && Flo_analysis.Sharing.conflicts_among s ids
+         = sub (full Flo_analysis.Sharing.conflicts_among))
 
 (* Locality's counts against a from-scratch recount of the same touches;
    small ranges so blocks repeat within and across threads *)
@@ -318,8 +325,8 @@ let read_cache a c =
     c_touches = S.touches s;
     c_evictions = S.evictions s;
     c_distinct = S.distinct_blocks s;
-    c_shared = S.shared s;
-    c_conflicts = S.conflicts s;
+    c_shared = S.shared_among s (List.init n Fun.id);
+    c_conflicts = S.conflicts_among s (List.init n Fun.id);
     c_cross = S.cross_shared s;
     c_shared_blocks = S.shared_blocks s;
     c_active = S.active_threads s;
@@ -486,15 +493,17 @@ let test_golden_trace_sharing () =
   let a = load_golden () in
   let s1 = Option.get (A.sharing_of a l1_0) in
   (* t0 touched {0,1,3}, t1 touched {0,2}: only b0 is co-touched *)
-  checkm "l1 shared" [| [| 3; 1 |]; [| 1; 2 |] |] (Flo_analysis.Sharing.shared s1);
+  checkm "l1 shared" [| [| 3; 1 |]; [| 1; 2 |] |] (Flo_analysis.Sharing.shared_among s1 [ 0; 1 ]);
   (* t1's evict of b0 re-missed by t0 (and vice versa) *)
-  checkm "l1 conflicts" [| [| 0; 1 |]; [| 1; 0 |] |] (Flo_analysis.Sharing.conflicts s1);
+  checkm "l1 conflicts" [| [| 0; 1 |]; [| 1; 0 |] |]
+    (Flo_analysis.Sharing.conflicts_among s1 [ 0; 1 ]);
   check "l1 evictions" 6 (Flo_analysis.Sharing.evictions s1);
   check "l1 cross" 1 (Flo_analysis.Sharing.cross_shared s1);
   let s2 = Option.get (A.sharing_of a l2_0) in
-  checkm "l2 shared" [| [| 3; 1 |]; [| 1; 2 |] |] (Flo_analysis.Sharing.shared s2);
+  checkm "l2 shared" [| [| 3; 1 |]; [| 1; 2 |] |] (Flo_analysis.Sharing.shared_among s2 [ 0; 1 ]);
   (* t0 evicted b0 from L2; t1's final request re-missed it *)
-  checkm "l2 conflicts" [| [| 0; 1 |]; [| 0; 0 |] |] (Flo_analysis.Sharing.conflicts s2);
+  checkm "l2 conflicts" [| [| 0; 1 |]; [| 0; 0 |] |]
+    (Flo_analysis.Sharing.conflicts_among s2 [ 0; 1 ]);
   check "l2 evictions" 2 (Flo_analysis.Sharing.evictions s2);
   check "layer cross l1" 1 (A.cross_shared_at a E.L1);
   check "layer cross l2" 1 (A.cross_shared_at a E.L2);

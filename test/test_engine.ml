@@ -188,48 +188,48 @@ let test_karma_hints_ordered () =
     [ (1, 2); (3, 0); (5, 7) ]
     keys
 
-(* ---- The headline shapes (one app per group, full scale) ----------------- *)
+(* ---- The pass on the suite (the paper's claims are Reproduce's) ----------- *)
 
-let full = Config.default
+let test_jobs =
+  match Sys.getenv_opt "FLOPT_TEST_JOBS" with
+  | Some s -> (match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 4)
+  | None -> 4
 
-let test_shape_group1 () =
-  let app = Suite.find "cc-ver-1" in
-  let d = Experiment.default_run full app in
-  let o = Experiment.inter_run full app in
-  let n = Experiment.normalized ~base:d o in
-  checkb (Printf.sprintf "cc-ver-1 no benefit (%.3f)" n) true (n > 0.95 && n < 1.08)
+(* Table 3 and Fig 7(a) at full scale over the 16-app suite, simulated once
+   for every test that reads their claims *)
+let paper_claims =
+  lazy
+    (match Reproduce.select [ "table3"; "fig7a" ] with
+    | Error msg -> invalid_arg msg
+    | Ok sections ->
+      let memo = Reproduce.memo ~jobs:test_jobs sections in
+      List.concat_map (Reproduce.claims memo) sections)
 
-let test_shape_group2 () =
-  let app = Suite.find "astro" in
-  let d = Experiment.default_run full app in
-  let o = Experiment.inter_run full app in
-  let n = Experiment.normalized ~base:d o in
-  checkb (Printf.sprintf "astro moderate benefit (%.3f)" n) true (n > 0.84 && n < 0.95)
+let fail_broken claims =
+  match List.filter (fun c -> Reproduce.failed (Reproduce.verdict c)) claims with
+  | [] -> ()
+  | broken -> Alcotest.fail ("broken claims:\n" ^ Reproduce.claims_table broken)
 
-let test_shape_group3 () =
-  let app = Suite.find "qio" in
-  let d = Experiment.default_run full app in
-  let o = Experiment.inter_run full app in
-  let n = Experiment.normalized ~base:d o in
-  checkb (Printf.sprintf "qio high benefit (%.3f)" n) true (n > 0.70 && n < 0.80)
+(* the claims of [section] whose text starts with one of [about]: one for
+   each, none BROKEN; the bands themselves are Reproduce's *)
+let check_claims section about () =
+  let claims =
+    List.filter
+      (fun c ->
+        c.Reproduce.section = section
+        && List.exists (fun prefix -> String.starts_with ~prefix c.Reproduce.text) about)
+      (Lazy.force paper_claims)
+  in
+  check (section ^ " claims found") (List.length about) (List.length claims);
+  fail_broken claims
+
+let group_band n = Printf.sprintf "every group-%d app" n
 
 let test_shape_twer_conflicted () =
   let app = Suite.find "twer" in
-  let plan = Experiment.inter_plan full app in
+  let plan = Experiment.inter_plan Config.default app in
   (* conflicting equal-weight references: conflicted arrays are declined *)
   checkb "most twer arrays not restructured" true (Optimizer.optimized_count plan = 0)
-
-let test_shape_optimized_fraction () =
-  (* paper: ~72% of all arrays optimized *)
-  let total = ref 0 and optimized = ref 0 in
-  List.iter
-    (fun app ->
-      let plan = Experiment.inter_plan full app in
-      total := !total + Optimizer.total_arrays plan;
-      optimized := !optimized + Optimizer.optimized_count plan)
-    Suite.all;
-  let frac = float_of_int !optimized /. float_of_int !total in
-  checkb (Printf.sprintf "optimized fraction %.2f" frac) true (frac > 0.55 && frac < 0.85)
 
 let suite =
   [
@@ -245,11 +245,13 @@ let suite =
     ("thread mapping permutations", `Quick, test_run_mapping_permutation);
     ("karma hints from streams", `Quick, test_karma_hints);
     ("karma hints deterministic order", `Quick, test_karma_hints_ordered);
-    ("shape: group 1 app", `Slow, test_shape_group1);
-    ("shape: group 2 app", `Slow, test_shape_group2);
-    ("shape: group 3 app", `Slow, test_shape_group3);
+    ("shape: group 1 app", `Slow, check_claims "fig7a" [ group_band 1 ]);
+    ("shape: group 2 app", `Slow, check_claims "fig7a" [ group_band 2 ]);
+    ("shape: group 3 app", `Slow, check_claims "fig7a" [ group_band 3 ]);
     ("shape: twer declines", `Quick, test_shape_twer_conflicted);
-    ("shape: optimized array fraction", `Slow, test_shape_optimized_fraction);
+    ( "shape: optimized array fraction",
+      `Slow,
+      check_claims "table3" [ "about 72% of all arrays are optimized" ] );
   ]
 
 (* ---- readahead & template extensions -------------------------------- *)
@@ -385,47 +387,106 @@ let suite =
       ("fig. 6 golden report", `Quick, test_fig6_golden_report);
     ]
 
-(* ---- full-suite shape regression (the headline reproduction) ------------- *)
+(* ---- the paper's claims (Reproduce) ---------------------------------------- *)
 
-let group_bounds = function
-  | App.No_benefit -> (0.95, 1.08)
-  | App.Moderate -> (0.86, 0.94)
-  | App.High -> (0.70, 0.81)
+let synthetic ?pinned holds =
+  { Reproduce.section = "fig7x"; text = "a claim"; paper = "1.0"; measured = "2.0"; holds;
+    pinned }
 
-let test_all_groups () =
+let test_verdict_rules () =
+  let verdict ?pinned holds = Reproduce.verdict (synthetic ?pinned holds) in
+  checkb "holds" true (verdict true = Reproduce.Holds);
+  checkb "pinned deviation" true (verdict ~pinned:"why" false = Reproduce.Deviates "why");
+  checkb "unpinned failure" true (verdict false = Reproduce.Broken);
+  checkb "vanished deviation" true (verdict ~pinned:"why" true = Reproduce.Vanished "why");
+  Alcotest.(check (list bool)) "only BROKEN and a vanished deviation fail"
+    [ false; false; true; true ]
+    (List.map Reproduce.failed
+       [ verdict true; verdict ~pinned:"why" false; verdict false; verdict ~pinned:"why" true ]);
+  Alcotest.(check string) "vanished reads as BROKEN"
+    "BROKEN: pinned deviation no longer occurs (why)"
+    (Reproduce.verdict_to_string (verdict ~pinned:"why" true));
+  let claims = [ synthetic true; synthetic ~pinned:"why" false; synthetic false ] in
+  Alcotest.(check string) "markdown table"
+    "| section | claim | paper | measured | verdict |\n\
+     |---|---|---|---|---|\n\
+     | fig7x | a claim | 1.0 | 2.0 | HOLDS |\n\
+     | fig7x | a claim | 1.0 | 2.0 | DEVIATES: why |\n\
+     | fig7x | a claim | 1.0 | 2.0 | BROKEN |"
+    (Reproduce.claims_table claims)
+
+let test_select_sections () =
+  let names = function
+    | Ok sections -> List.map Reproduce.name sections
+    | Error msg -> Alcotest.failf "rejected: %s" msg
+  in
+  check "none named: all 18" 18 (List.length (names (Reproduce.select [])));
+  Alcotest.(check (list string)) "paper order, each once" [ "table3"; "fig7a" ]
+    (names (Reproduce.select [ "fig7a"; "table3"; "fig7a" ]));
+  let rejects requested prefix =
+    match Reproduce.select requested with
+    | Ok _ -> Alcotest.failf "accepted %s" (String.concat " " requested)
+    | Error msg ->
+      checkb msg true (String.starts_with ~prefix msg)
+  in
+  rejects [ "fig7a"; "fig7z" ] "unknown section \"fig7z\" (known: table1, table2, table3, fig7a,";
+  rejects [ "compile-bench"; "Fig7a" ] "unknown sections \"compile-bench\", \"Fig7a\" (known:"
+
+(* every section on a small system: each reads only runs it lists (a miss
+   raises), and the output does not depend on the jobs setting *)
+let test_reproduce_small () =
+  let render jobs =
+    let memo =
+      Reproduce.memo ~jobs ~config:small_config ~apps:[ small_app ] Reproduce.sections
+    in
+    String.concat "" (List.map (Reproduce.render memo) Reproduce.sections)
+    ^ Reproduce.claims_table (List.concat_map (Reproduce.claims memo) Reproduce.sections)
+  in
+  let sequential = render 1 in
+  check "18 sections" 18
+    (List.length
+       (List.filter (String.starts_with ~prefix:"== ") (String.split_on_char '\n' sequential)));
+  Alcotest.(check string) "identical at every jobs setting" sequential (render test_jobs)
+
+(* EXPERIMENTS.md's claims block, the printed table copied between markers *)
+let experiments_claims () =
+  let path = if Sys.file_exists "../EXPERIMENTS.md" then "../EXPERIMENTS.md" else "EXPERIMENTS.md" in
+  let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+  let rec block inside = function
+    | [] -> []
+    | "<!-- claims:end -->" :: _ -> []
+    | "<!-- claims:begin -->" :: rest -> block true rest
+    | line :: rest -> if inside then line :: block inside rest else block inside rest
+  in
+  block false lines
+
+(* the headline reproduction: every Table 3 and Fig 7(a) claim from the
+   shared memo; any BROKEN claim fails, and so does a row EXPERIMENTS.md no
+   longer shows verbatim *)
+let test_paper_claims () =
+  let claims = Lazy.force paper_claims in
+  check "claims checked" 8 (List.length claims);
+  fail_broken claims;
+  let documented = experiments_claims () in
   List.iter
-    (fun app ->
-      let d = Experiment.default_run full app in
-      let o = Experiment.inter_run full app in
-      let n = Experiment.normalized ~base:d o in
-      let lo, hi = group_bounds app.App.group in
-      checkb
-        (Printf.sprintf "%s normalized %.3f in [%.2f, %.2f] (%s)" app.App.name n lo hi
-           (App.group_to_string app.App.group))
-        true
-        (n >= lo && n <= hi))
-    Suite.all
-
-let test_miss_reduction_shape () =
-  (* Table 3's qualitative claim: optimized I/O-cache misses never increase,
-     and drop hard for the high-benefit group *)
-  List.iter
-    (fun app ->
-      let d = Experiment.default_run full app in
-      let o = Experiment.inter_run full app in
-      let ratio = Run.l1_miss_per_element o /. max 1e-12 (Run.l1_miss_per_element d) in
-      checkb (Printf.sprintf "%s L1 miss ratio %.2f <= 1.02" app.App.name ratio) true
-        (ratio <= 1.02);
-      if app.App.group = App.High then
-        checkb (Printf.sprintf "%s high group miss ratio %.2f < 0.5" app.App.name ratio)
-          true (ratio < 0.5))
-    Suite.all
+    (fun row -> checkb ("EXPERIMENTS.md shows " ^ row) true (List.mem row documented))
+    (String.split_on_char '\n' (Reproduce.claims_table claims))
 
 let suite =
   suite
   @ [
-      ("shape: all 16 apps in their groups", `Slow, test_all_groups);
-      ("shape: Table 3 miss reductions", `Slow, test_miss_reduction_shape);
+      ( "shape: all 16 apps in their groups",
+        `Slow,
+        check_claims "fig7a" (List.map group_band [ 1; 2; 3 ]) );
+      ( "shape: Table 3 miss reductions",
+        `Slow,
+        check_claims "table3"
+          [ "optimized I/O-cache misses never rise"; "group 3's I/O-cache misses fall below half" ]
+      );
+      ("reproduce: verdict rules", `Quick, test_verdict_rules);
+      ("reproduce: section names", `Quick, test_select_sections);
+      ("reproduce: every section, small system", `Quick, test_reproduce_small);
+      ("reproduce: Table 3 and Fig 7(a) claims (16 apps)", `Slow, test_paper_claims);
     ]
 
 (* ---- trace flush ordering ------------------------------------------------ *)

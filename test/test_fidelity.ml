@@ -253,7 +253,7 @@ let base_signal =
     D.miss_l1 = 0.05;
     miss_l2 = 0.02;
     cross_shared = 4;
-    sharing = [| [| 0; 2 |]; [| 2; 0 |] |];
+    sharing = [ (0, 1, 2); (1, 0, 2) ];
     fidelity_rel = 0.;
   }
 
@@ -313,25 +313,42 @@ let test_drift_hysteresis () =
   checkb "alternating windows never raise" false (D.recommended !d)
 
 let test_drift_matrix_zero_padding () =
-  (* a larger matrix whose extra rows/cols are all zero is the same
-     observation — no matrix component fires *)
-  let padded =
-    {
-      base_signal with
-      D.sharing = [| [| 0; 2; 0 |]; [| 2; 0; 0 |]; [| 0; 0; 0 |] |];
-    }
-  in
+  (* a cell listed with a zero count is the same observation as an absent
+     one — no matrix component fires *)
+  let padded = { base_signal with D.sharing = base_signal.D.sharing @ [ (2, 2, 0) ] } in
   let d = D.create ~baseline:base_signal () in
   let score, reasons = D.score d padded in
   Alcotest.(check (float 0.)) "padded matrix scores zero" 0. score;
   checkb "no reasons" true (reasons = []);
   (* genuinely moved sharing mass fires the matrix component *)
-  let moved =
-    { base_signal with D.sharing = [| [| 0; 0 |]; [| 0; 4 |] |] }
-  in
+  let moved = { base_signal with D.sharing = [ (1, 1, 4) ] } in
   let _, reasons = D.score d moved in
   checkb "matrix shift named" true
     (List.exists (function D.Matrix_shift _ -> true | _ -> false) reasons)
+
+(* the signal's sharing cells: L2 only, summed over the storage-node caches,
+   sized by the threads present — ids 0 and 65535 give four cells *)
+let test_drift_sharing_wide_ids () =
+  let event ~layer ~node ~thread ~block =
+    Flo_obs.Event.make ~time_us:0. ~kind:Flo_obs.Event.Hit ~layer ~node ~thread ~file:0
+      ~block ()
+  in
+  let a =
+    Flo_analysis.Analyzer.of_events
+      [
+        event ~layer:Flo_obs.Event.L2 ~node:0 ~thread:0 ~block:0;
+        event ~layer:Flo_obs.Event.L2 ~node:0 ~thread:65535 ~block:0;
+        event ~layer:Flo_obs.Event.L2 ~node:3 ~thread:65535 ~block:1;
+        event ~layer:Flo_obs.Event.L2 ~node:3 ~thread:0 ~block:1;
+        event ~layer:Flo_obs.Event.L2 ~node:3 ~thread:0 ~block:2;
+        (* L1 sharing is not part of the signal *)
+        event ~layer:Flo_obs.Event.L1 ~node:0 ~thread:7 ~block:0;
+        event ~layer:Flo_obs.Event.L1 ~node:0 ~thread:65535 ~block:0;
+      ]
+  in
+  Alcotest.(check (list (triple int int int))) "sparse cells"
+    [ (0, 0, 3); (0, 65535, 2); (65535, 0, 2); (65535, 65535, 2) ]
+    (D.sharing_of a)
 
 let test_drift_config_validation () =
   let bad =
@@ -394,6 +411,7 @@ let suite =
     ("drift watch: flags after enter streak", `Quick, test_drift_flags_after_streak);
     ("drift watch: hysteresis", `Quick, test_drift_hysteresis);
     ("drift watch: matrix zero-padding", `Quick, test_drift_matrix_zero_padding);
+    ("drift watch: sharing cells over ids 0 and 65535", `Quick, test_drift_sharing_wide_ids);
     ("drift watch: config validation", `Quick, test_drift_config_validation);
     ("drift watch: phase shift recommends re-layout", `Quick, test_drift_signal_phase_shift);
   ]
