@@ -49,15 +49,26 @@ let write_or_exit ~cmd path write =
    determinism self-check. *)
 let json_mode args =
   let flag = flags ~cmd:"json" [ "--out"; "--apps"; "--sample"; "--jobs" ] args in
-  let positive name default =
+  let positive name =
     match Option.map int_of_string_opt (flag name) with
-    | None -> default
-    | Some (Some n) when n >= 1 -> n
+    | None -> None
+    | Some (Some n) when n >= 1 -> Some n
     | Some _ ->
       Printf.eprintf "bench json: %s must be a positive integer\n" name;
       exit 2
   in
-  let sample = positive "--sample" 1 and jobs = positive "--jobs" (Parallel.default_jobs ()) in
+  let sample = Option.value (positive "--sample") ~default:1 in
+  (* an explicit --jobs never reads FLOPT_JOBS *)
+  let jobs =
+    match positive "--jobs" with
+    | Some n -> n
+    | None -> (
+      match Parallel.default_jobs () with
+      | Ok n -> n
+      | Error msg ->
+        Printf.eprintf "bench json: %s\n" msg;
+        exit 2)
+  in
   let out =
     match flag "--out" with
     | Some o -> o

@@ -71,17 +71,24 @@ let config = Config.default
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for app/rep fan-out (default: \
-                 \\$FLOPT_JOBS or the machine's core count; 1 = the \
-                 sequential reference path).  Results are identical for \
-                 every value.")
+           ~doc:"Worker domains for app/rep fan-out (default: \\$FLOPT_JOBS or \
+                 the machine's core count; 1 = the sequential reference \
+                 path).  Results are identical for every value; a value \
+                 above the core count gives the same output, only slower.")
 
+(* an explicit --jobs never reads FLOPT_JOBS; a malformed FLOPT_JOBS is a
+   usage error like a malformed --jobs *)
 let resolve_jobs = function
-  | None -> Parallel.default_jobs ()
   | Some n when n >= 1 -> n
   | Some _ ->
     prerr_endline "flopt: --jobs must be a positive integer";
     exit 2
+  | None -> (
+    match Parallel.default_jobs () with
+    | Ok n -> n
+    | Error msg ->
+      Printf.eprintf "flopt: %s\n" msg;
+      exit 2)
 
 (* every file output but the --trace event stream goes through the one
    atomic writer; an unwritable path is a usage error, not a crash *)

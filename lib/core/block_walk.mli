@@ -1,20 +1,40 @@
-(** The strength-reduced block walk: one loop nest's per-thread block
-    requests under chosen file layouts, as [(file, index)] int pairs.
+(** The run-length block walk: one loop nest's per-thread block requests
+    under chosen file layouts, as [(file, index)] int pairs.
 
     A thread's element accesses are translated through the layouts into
     block indices, and {e consecutive requests to the same block of a file
     collapse into one} (the I/O runtime buffers one block per open file).
-    Per-reference offsets are tracked as incremental affine cursors over the
-    lexicographic walk (via {!File_layout.linear_strides} /
-    {!File_layout.offset_of_transformed}), so the hot loop performs no
-    per-element allocation, transform or division.
+
+    Every reference's file offset is affine in the iteration vector: one
+    functional under a canonical layout ({!File_layout.linear_strides}),
+    piecewise under the inter-node layout, where it is linear inside one
+    data slab and one Step II chunk.  The walk enumerates each thread's
+    iterations as rows of the innermost loop.  Inside a row each offset
+    moves by a constant step, tracked as a block index and a position in
+    the block, so the hot loop performs no allocation, transform or
+    division; an inter-node reference recomputes its chunk
+    ({!Chunk_pattern.offset}) only when it leaves its cached slab or chunk.
+
+    {b Quiet runs.}  An iteration is quiet when it issues no request: every
+    reference's block is the block last read from its file.  After a quiet
+    iteration, each reference's block is its file's last block, so the
+    following iterations stay quiet for exactly as long as every reference
+    stays inside its block and its linear stretch (slab and chunk), and they
+    change nothing but the offsets.  The walk therefore skips them in closed
+    form: one division per reference finds the first inner step where some
+    reference leaves, and the offsets move by [n * step].  The skip is exact
+    — the stream is the one the per-iteration walk would issue.  In a nest
+    where some reference's step is at least [block_elems], every iteration
+    moves that reference to a new block, so no run is skipped and the walk
+    does not test.
 
     This is the one enumeration behind both the run's request streams
     ([Flo_engine.Tracegen.nest_streams], which packs them into block ids)
     and the model's distinct-block counts ([Flo_fidelity.Predict.compute]):
     a thread's collapsed stream holds exactly the set of blocks the thread
     touches.  [Flo_engine.Tracegen.reference_streams] is its executable
-    specification, and the golden equality tests pin the two together. *)
+    specification; the golden equality tests and a qcheck law on random
+    nests pin the two together. *)
 
 open Flo_poly
 
@@ -32,8 +52,8 @@ val plan_of :
     @raise Invalid_argument when [assign] comes without [cluster]. *)
 
 type t
-(** One nest prepared for walking: its plan and per-reference cursors'
-    affine descriptions. *)
+(** One nest prepared for walking: its plan and each reference's affine
+    description.  Walk it from one domain at a time. *)
 
 val create :
   layouts:(int -> File_layout.t) ->
@@ -58,7 +78,8 @@ type stream = private {
     [indices.(i)] of file [files.(i)], in execution order. *)
 
 val walk : t -> thread:int -> stream
-(** [walk w ~thread] is [thread]'s stream, in a fresh growable buffer.
-    Hand-off rule: consume each thread's stream (pack it, count it) before
-    walking the next thread, so that only one thread's buffer is alive at a
-    time; docs/PERFORMANCE.md has the peak-RSS measurements behind it. *)
+(** [walk w ~thread] is [thread]'s stream, in a fresh growable buffer
+    sized like the stream [w] last returned.  Hand-off rule: consume each
+    thread's stream (pack it, count it) before walking the next thread, so
+    that only one thread's buffer is alive at a time; docs/PERFORMANCE.md
+    has the peak-RSS measurements behind it. *)

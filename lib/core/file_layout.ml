@@ -124,10 +124,6 @@ let internode_coords i a =
   let a' = Ivec.add (Imat.mul_vec i.d a) i.shift in
   slab_coords i ~vv:a'.(i.v) ~lin_rest:(lin_rest i a')
 
-let offset_of_transformed i ~vv ~lin_rest =
-  let owner, rank = slab_coords i ~vv ~lin_rest in
-  Chunk_pattern.offset i.pattern ~thread:owner ~rank
-
 let offset_of t a =
   if not (Data_space.mem (space t) a) then invalid_arg "File_layout.offset_of: out of range";
   match t with

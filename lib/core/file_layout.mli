@@ -78,11 +78,11 @@ val owner_of : t -> Ivec.t -> int option
 
 (** {1 Strength-reduction hooks}
 
-    The trace-generation fast path evaluates offsets incrementally over
+    The block walk ({!Block_walk}) evaluates offsets incrementally over
     consecutive loop iterations instead of through {!offset_of}'s
     per-element transform + division chain.  These expose exactly the
-    decomposition it needs; both agree with {!offset_of} by construction
-    (shared implementation) and by the golden equality tests. *)
+    decomposition it needs; they share {!offset_of}'s implementation, and
+    the golden equality tests pin the walk to it. *)
 
 val linear_strides : t -> int array option
 (** For the canonical layouts: strides such that
@@ -90,17 +90,21 @@ val linear_strides : t -> int array option
     (all three are linear in the element coordinates).  [None] for
     [Internode], which is only piecewise linear. *)
 
-val slab_coords : internode -> vv:int -> lin_rest:int -> int * int
-(** [(owner, rank)] of the element whose {e transformed, shifted}
-    coordinates have partition component [vv] and non-partition
-    linearization [lin_rest] (per [rest_strides]).  Both inputs are affine
-    in the original element coordinates, hence in the iteration vector. *)
+val slab_index : internode -> int -> int
+(** The data slab holding {e transformed, shifted} partition coordinate
+    [vv] (for [0 <= vv < ext.(v)]). *)
 
-val offset_of_transformed : internode -> vv:int -> lin_rest:int -> int
-(** {!slab_coords} composed with the Step II chunk pattern: the file offset.
-    [offset_of (Internode i) a] equals
-    [offset_of_transformed i ~vv:a'.(v) ~lin_rest:(strides . a')] for
-    [a' = D a + shift]. *)
+val slab_start : internode -> int -> int
+(** The first partition coordinate of slab [j]: slab [j] spans
+    [[slab_start i j, slab_start i (j + 1))]. *)
+
+val slab_coords : internode -> vv:int -> lin_rest:int -> int * int
+(** [(owner, rank)] of the element whose transformed, shifted coordinates
+    have partition component [vv] and non-partition linearization
+    [lin_rest] (per [rest_strides]).  Both inputs are affine in the
+    original element coordinates, hence in the iteration vector; inside one
+    slab the owner is fixed and the rank is affine in both.  The file
+    offset is [Chunk_pattern.offset i.pattern ~thread:owner ~rank]. *)
 
 val slab_height : internode -> int
 

@@ -8,21 +8,18 @@
    and is byte-for-byte today's sequential code path — produces the same
    value in the same order. *)
 
-let env_jobs () =
-  match Sys.getenv_opt "FLOPT_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Some n
-    | _ -> invalid_arg (Printf.sprintf "FLOPT_JOBS=%S: expected a positive integer" s))
+let parse_jobs s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (Printf.sprintf "FLOPT_JOBS=%S: expected a positive integer" s)
 
 let default_jobs () =
-  match env_jobs () with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count ())
+  match Sys.getenv_opt "FLOPT_JOBS" with
+  | Some s -> parse_jobs s
+  | None -> Ok (max 1 (Domain.recommended_domain_count ()))
 
 let resolve_jobs = function
-  | None -> default_jobs ()
+  | None -> ( match default_jobs () with Ok n -> n | Error msg -> invalid_arg msg)
   | Some n when n >= 1 -> n
   | Some n -> invalid_arg (Printf.sprintf "Parallel: jobs = %d < 1" n)
 

@@ -11,16 +11,20 @@
     it runs the exact sequential code path, which is the deterministic
     reference the qcheck equivalence properties compare against. *)
 
-val default_jobs : unit -> int
-(** The [FLOPT_JOBS] environment variable if set (a positive integer —
-    anything else raises [Invalid_argument]), else
-    [Domain.recommended_domain_count ()].  This is what [--jobs] flags
-    default to. *)
+val parse_jobs : string -> (int, string) result
+(** [FLOPT_JOBS]'s syntax: [Ok n] for a positive integer [n], else an
+    [Error] naming the value. *)
+
+val default_jobs : unit -> (int, string) result
+(** The [FLOPT_JOBS] environment variable through {!parse_jobs} if set,
+    else [Ok (Domain.recommended_domain_count ())].  This is what [--jobs]
+    flags default to; an explicit [--jobs N] never reads the variable. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f arr] is [Array.map f arr] computed by [min jobs
     (Array.length arr)] domains (the caller's domain is one of them).
-    [jobs] defaults to {!default_jobs}.  If tasks raise, every task still
+    [jobs] defaults to {!default_jobs} ([Invalid_argument] on its
+    [Error]).  If tasks raise, every task still
     runs, all domains are joined, and the exception of the {e
     lowest-index} failing task is re-raised with its backtrace — again
     independent of scheduling.

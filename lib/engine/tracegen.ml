@@ -56,8 +56,9 @@ let reference_streams ~layouts ~block_elems ~threads ~blocks_per_thread ?assign 
 
 (* ---- fast path ---------------------------------------------------------
 
-   The shared strength-reduced walk, each thread's stream packed into block
-   ids as soon as that thread is walked. *)
+   The shared run-length walk, each thread's stream packed into block ids as
+   soon as that thread is walked (the hand-off rule: one buffer alive at a
+   time). *)
 
 let nest_streams ~layouts ~block_elems ~threads ~blocks_per_thread ?assign ?cluster ?sample
     nest =
@@ -66,9 +67,12 @@ let nest_streams ~layouts ~block_elems ~threads ~blocks_per_thread ?assign ?clus
       ?sample nest
   in
   Array.init threads (fun thread ->
-      let s = Block_walk.walk walk ~thread in
-      Array.init s.Block_walk.len (fun i ->
-          Block.make ~file:s.Block_walk.files.(i) ~index:s.Block_walk.indices.(i)))
+      let { Block_walk.files; indices; len } = Block_walk.walk walk ~thread in
+      let blocks = Array.make len (Block.make ~file:0 ~index:0) in
+      for i = 0 to len - 1 do
+        blocks.(i) <- Block.make ~file:files.(i) ~index:indices.(i)
+      done;
+      blocks)
 
 let iterations_per_thread ~threads ~blocks_per_thread ?(sample = 1) nest =
   let plan = Block_walk.plan_of ~threads ~blocks_per_thread nest in

@@ -11,7 +11,11 @@
     The enumeration itself is {!Flo_core.Block_walk}, which
     [Flo_fidelity.Predict] counts too; this module packs its streams into
     block ids and keeps the naive {!reference_streams} as the oracle both
-    are tested against. *)
+    are tested against.  The walk skips {e quiet runs} in closed form: after
+    an iteration that issues no request, every reference sits in the block
+    its file last read, and the iterations that keep every reference inside
+    that block (and inside its inter-node slab and chunk) issue nothing
+    either, so jumping over them leaves the stream unchanged. *)
 
 open Flo_poly
 open Flo_storage
@@ -35,8 +39,8 @@ val nest_streams :
     thread's iterations (a prefix preserves contiguity) — profile mode.  The per-nest block count is capped by the nest's
     parallel extent.
 
-    This is the strength-reduced {!Flo_core.Block_walk}, each thread's
-    stream packed into block ids as soon as that thread is walked.
+    This is the run-length {!Flo_core.Block_walk}, each thread's stream
+    packed into block ids as soon as that thread is walked.
     Element-for-element identical to {!reference_streams}.
     @raise Invalid_argument on non-positive [sample] or [block_elems], or a
     block id out of {!Block.make}'s range. *)
