@@ -68,6 +68,30 @@ let metrics_arg =
 
 let config = Config.default
 
+(* what a --layout mode installs: a file layout per array, plus compmap's
+   per-nest iteration-to-thread strategy (its layouts stay row-major).
+   [metrics] collects the pass's span histograms under [Inter]. *)
+type resolved_layout = {
+  layouts : int -> File_layout.t;
+  assigns : (int -> Compmap.strategy) option;
+}
+
+let resolve_layout ?metrics ?scope mode app =
+  match mode with
+  | Default -> { layouts = Experiment.default_layouts app; assigns = None }
+  | Inter ->
+    let plan = Experiment.inter_plan ?scope ?metrics config app in
+    { layouts = Optimizer.layout_of plan; assigns = None }
+  | Reindexed ->
+    let outcome = Experiment.reindex_best config app in
+    { layouts = (fun id -> List.assoc id outcome.Reindex.layouts); assigns = None }
+  | Compmapped ->
+    let outcome = Experiment.compmap_best config app in
+    {
+      layouts = Experiment.default_layouts app;
+      assigns = Some (fun i -> List.assoc i outcome.Compmap.choices);
+    }
+
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs" ] ~docv:"N"
@@ -144,12 +168,10 @@ let print_metrics registry (result : Run.result) =
      instead of truncating past a fixed 28 columns *)
   let spans =
     List.filter_map
-      (fun (name, _labels, value) ->
-        match value with
-        | Flo_obs.Metrics.Histogram h
-          when String.length name > 5 && String.sub name 0 5 = "span." ->
+      (fun (name, _labels, h) ->
+        if String.starts_with ~prefix:"span." name then
           Some (name, Report.latency_summary h)
-        | _ -> None)
+        else None)
       (Flo_obs.Metrics.to_list registry)
   in
   let width = List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 spans in
@@ -191,23 +213,9 @@ let run_cmd =
     let mapping = if seed = 0 then None else Some (Experiment.random_mapping ~seed config) in
     let result, registry =
       observed_run ~trace ~metrics (fun ?sink ?metrics () ->
-          match layout_mode with
-          | Default ->
-            Run.run ?mapping ~caching ?sink ?metrics ~config
-              ~layouts:(Experiment.default_layouts app) app
-          | Inter ->
-            Run.run ?mapping ~caching ?sink ?metrics ~config
-              ~layouts:(Experiment.inter_layouts ~scope config app) app
-          | Reindexed ->
-            let outcome = Experiment.reindex_best config app in
-            Run.run ?mapping ~caching ?sink ?metrics ~config
-              ~layouts:(fun id -> List.assoc id outcome.Reindex.layouts)
-              app
-          | Compmapped ->
-            let outcome = Experiment.compmap_best config app in
-            Run.run ?mapping ~caching ?sink ?metrics
-              ~assigns:(fun i -> List.assoc i outcome.Compmap.choices)
-              ~config ~layouts:(Experiment.default_layouts app) app)
+          let r = resolve_layout ?metrics ~scope layout_mode app in
+          Run.run ?mapping ~caching ?assigns:r.assigns ?sink ?metrics ~config
+            ~layouts:r.layouts app)
     in
     Format.printf "%a@." Run.pp_result result;
     Printf.printf "miss/element: L1 %.2f%%  L2 %.2f%%\n"
@@ -239,19 +247,19 @@ let bench_cmd =
       prerr_endline "flopt: bench: --reps must be positive";
       exit 2
     end;
+    if readahead < 0 then begin
+      prerr_endline "flopt: bench: --readahead must be non-negative";
+      exit 2
+    end;
     let jobs = resolve_jobs jobs in
-    let layouts =
-      match layout_mode with
-      | Default | Reindexed | Compmapped -> Experiment.default_layouts app
-      | Inter -> Experiment.inter_layouts config app
-    in
+    let { layouts; assigns } = resolve_layout layout_mode app in
     let registry, results =
       if jobs <= 1 then begin
         (* the sequential reference: one registry accumulated across reps *)
         let registry = Flo_obs.Metrics.create () in
         let rs =
           Array.init reps (fun _ ->
-              Run.run ~caching ~readahead ~metrics:registry ~config ~layouts app)
+              Run.run ~caching ?assigns ~readahead ~metrics:registry ~config ~layouts app)
         in
         (registry, rs)
       end
@@ -262,7 +270,9 @@ let bench_cmd =
           Parallel.map ~jobs
             (fun _rep ->
               let registry = Flo_obs.Metrics.create () in
-              let r = Run.run ~caching ~readahead ~metrics:registry ~config ~layouts app in
+              let r =
+                Run.run ~caching ?assigns ~readahead ~metrics:registry ~config ~layouts app
+              in
               (registry, r))
             (Array.init reps Fun.id)
         in
@@ -281,14 +291,13 @@ let bench_cmd =
     Option.iter (print_metrics registry) last;
     let disk_rows =
       List.filter_map
-        (fun (name, labels, value) ->
-          match value with
-          | Flo_obs.Metrics.Histogram h when name = "disk_service_us" ->
+        (fun (name, labels, h) ->
+          if name = "disk_service_us" then
             let node = try List.assoc "node" labels with Not_found -> "?" in
             Some
               (Printf.sprintf "disk_service_us{node=%s}" node,
                Report.latency_summary h)
-          | _ -> None)
+          else None)
         (Flo_obs.Metrics.to_list registry)
     in
     let width =
@@ -356,7 +365,9 @@ let layout_cmd =
   let run app id =
     let plan = Experiment.inter_plan config app in
     match Optimizer.layout_of plan id with
-    | exception Not_found -> prerr_endline "no such array id"
+    | exception Not_found ->
+      Printf.eprintf "flopt: layout: no such array id %d in %s\n" id app.App.name;
+      exit 2
     | layout ->
       let space = File_layout.space layout in
       Printf.printf "layout: %s  file size: %d elements (space %d)\n"
@@ -380,11 +391,7 @@ let trace_csv_cmd =
     Arg.(value & opt string "-" & info [ "out" ] ~docv:"FILE" ~doc:"Output file ('-' = stdout).")
   in
   let run app layout_mode out =
-    let layouts =
-      match layout_mode with
-      | Default | Reindexed | Compmapped -> Experiment.default_layouts app
-      | Inter -> Experiment.inter_layouts config app
-    in
+    let { layouts; assigns } = resolve_layout layout_mode app in
     let topo = config.Config.topology in
     let csv oc =
       Printf.fprintf oc "nest,thread,seq,file,block\n";
@@ -392,7 +399,9 @@ let trace_csv_cmd =
         (fun i nest ->
           let streams =
             Tracegen.nest_streams ~layouts ~block_elems:topo.Flo_storage.Topology.block_elems
-              ~threads:(Flo_storage.Topology.threads topo) ~blocks_per_thread:1 nest
+              ~threads:(Flo_storage.Topology.threads topo) ~blocks_per_thread:1
+              ?assign:(Option.map (fun f -> f i) assigns)
+              ~cluster:(Flo_storage.Topology.threads_per_io topo) nest
           in
           Array.iteri
             (fun t stream ->
@@ -679,23 +688,16 @@ let fidelity_cmd =
       prerr_endline "flopt: fidelity: --predict-block-elems must be positive";
       exit 2
     | _ -> ());
-    let layouts_for app =
-      match layout_mode with
-      | Default -> Experiment.default_layouts app
-      | Inter -> Experiment.inter_layouts ~scope config app
-      | Reindexed ->
-        let outcome = Experiment.reindex_best config app in
-        fun id -> List.assoc id outcome.Reindex.layouts
-      | Compmapped ->
-        (* compmap perturbs the iteration-to-thread assignment itself, which
-           the analytical model has no parameters for *)
-        prerr_endline "flopt: fidelity: --layout compmap is not predictable";
-        exit 2
-    in
+    if layout_mode = Compmapped then begin
+      (* compmap perturbs the iteration-to-thread assignment itself, which
+         the analytical model has no parameters for *)
+      prerr_endline "flopt: fidelity: --layout compmap is not predictable";
+      exit 2
+    end;
     let fidelity_of app =
       fst
         (Experiment.fidelity ~tolerance ?predict_block_elems ~sample
-           ~layouts:(layouts_for app) config app)
+           ~layouts:(resolve_layout ~scope layout_mode app).layouts config app)
     in
     match app with
     | Some app ->
@@ -789,6 +791,13 @@ let chaos_cmd =
       prerr_endline "flopt: chaos: --rates must list at least one scale";
       exit 2
     end;
+    List.iter
+      (fun s ->
+        if not (Float.is_finite s && s >= 0.) then begin
+          Printf.eprintf "flopt: chaos: --rates must be finite and non-negative (got %g)\n" s;
+          exit 2
+        end)
+      scales;
     let jobs = resolve_jobs jobs in
     Printf.printf "fault plan: %s\n\n" (Flo_faults.Fault_plan.to_string plan);
     print_string (Report.degradation_summary (Experiment.inter_plan ~scope config app));
@@ -1056,12 +1065,7 @@ module Traffic_args = struct
           (match trace_out with
           | None -> None
           | Some _ ->
-            Some
-              {
-                Flo_traffic.Tracer.default with
-                Flo_traffic.Tracer.sample_rate;
-                breach_us = trace_breach_us;
-              });
+            Some { Flo_traffic.Tracer.sample_rate; breach_us = trace_breach_us });
         overload =
           overload_params ~cmd shed_spec
             (Option.value capacity_arg ~default:1.0)
@@ -1387,7 +1391,7 @@ let drift_cmd =
   let streak_arg =
     Arg.(value
          & opt int
-             Flo_fidelity.Drift.default_config.Flo_fidelity.Drift.enter_streak
+             Flo_fidelity.Drift.default_config.Flo_fidelity.Drift.streak
          & info [ "streak" ] ~docv:"N"
              ~doc:"Consecutive qualifying windows needed to flip the \
                    recommendation (both directions).")
@@ -1405,14 +1409,7 @@ let drift_cmd =
       prerr_endline "flopt: drift: --mapping must be non-negative";
       exit 2
     end;
-    let dconfig =
-      {
-        Flo_fidelity.Drift.enter;
-        exit_;
-        enter_streak = streak;
-        exit_streak = streak;
-      }
-    in
+    let dconfig = { Flo_fidelity.Drift.enter; exit_; streak } in
     (match Flo_fidelity.Drift.validate_config dconfig with
     | Ok () -> ()
     | Error msg ->

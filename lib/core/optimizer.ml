@@ -36,8 +36,7 @@ let reason_to_string = function
   | Low_coverage c -> Printf.sprintf "low-coverage:%.3f" c
   | Step2_failed msg -> Printf.sprintf "step2-failed:%s" msg
 
-let run ?(weighted = true) ?(min_coverage = 0.5) ?(scope = Internode.Both) ?metrics ~spec
-    program =
+let run ?(weighted = true) ?(scope = Internode.Both) ?metrics ~spec program =
   let decide id =
     let decl = Program.array_decl program id in
     let refs = Program.refs_to program id in
@@ -59,9 +58,9 @@ let run ?(weighted = true) ?(min_coverage = 0.5) ?(scope = Internode.Both) ?metr
             Array_partition.solve ~weighted groups)
       with
       | None -> canonical Step1_unsolvable
-      | Some partition when partition.Array_partition.coverage <= min_coverage ->
-        (* no weighted majority of references is satisfied: restructuring
-           would hurt more references than it helps *)
+      | Some partition when partition.Array_partition.coverage <= 0.5 ->
+        (* no strict weight-majority of references is satisfied:
+           restructuring would hurt more references than it helps *)
         canonical (Low_coverage partition.Array_partition.coverage)
       | Some partition -> (
         let step2 s =

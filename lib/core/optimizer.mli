@@ -55,16 +55,15 @@ val reason_to_string : reason -> string
 
 val run :
   ?weighted:bool ->
-  ?min_coverage:float ->
   ?scope:Internode.scope ->
   ?metrics:Flo_obs.Metrics.t ->
   spec:Internode.spec ->
   Program.t ->
   plan
 (** [weighted:false] is ablation A1 (unweighted constraint ordering).
-    [min_coverage] (default 0.5) declines to restructure an array unless the
-    found transformation satisfies a strict weight-majority of its
-    references.  [scope] defaults to [Both].  [metrics] records the host
+    An array is restructured only when the found transformation satisfies
+    a strict weight-majority (coverage above 0.5) of its references.
+    [scope] defaults to [Both].  [metrics] records the host
     cost of each phase into the span histograms
     ["span.optimizer.step1_solve"] and ["span.optimizer.step2_layout"].
     Never raises on degradation: Step II failures fall through the chain

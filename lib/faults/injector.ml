@@ -25,16 +25,9 @@ type t = {
   mutable c_remaps : int;
   mutable c_offline_misses : int;
   mutable c_spikes : int;
-  m_faults : Flo_obs.Metrics.counter option;
-  m_retries : Flo_obs.Metrics.counter option;
-  m_timeouts : Flo_obs.Metrics.counter option;
-  m_failovers : Flo_obs.Metrics.counter option;
-  m_remaps : Flo_obs.Metrics.counter option;
-  m_offline : Flo_obs.Metrics.counter option;
-  retry_hist : Flo_obs.Histogram.t option;
 }
 
-let create ?metrics ~storage_nodes (plan : Fault_plan.t) =
+let create ~storage_nodes (plan : Fault_plan.t) =
   if storage_nodes <= 0 then invalid_arg "Injector.create: storage_nodes must be positive";
   (match Retry.validate plan.Fault_plan.retry with
   | Ok () -> ()
@@ -80,7 +73,6 @@ let create ?metrics ~storage_nodes (plan : Fault_plan.t) =
         check "failover" target;
         route_to.(node) <- (match target with Some t -> t | None -> (node + 1) mod n))
     plan.Fault_plan.specs;
-  let counter name = Option.map (fun m -> Flo_obs.Metrics.counter m name) metrics in
   {
     plan;
     storage_nodes = n;
@@ -98,26 +90,14 @@ let create ?metrics ~storage_nodes (plan : Fault_plan.t) =
     c_remaps = 0;
     c_offline_misses = 0;
     c_spikes = 0;
-    m_faults = counter "fault_total";
-    m_retries = counter "retry_total";
-    m_timeouts = counter "timeout_total";
-    m_failovers = counter "failover_total";
-    m_remaps = counter "remap_total";
-    m_offline = counter "cache_offline_miss_total";
-    retry_hist = Option.map (fun m -> Flo_obs.Metrics.histogram m "retry_latency_us") metrics;
   }
 
 let plan t = t.plan
 let retry_policy t = t.plan.Fault_plan.retry
 
-let bump c = match c with Some c -> Flo_obs.Metrics.incr c | None -> ()
-
 let route t sn =
   let d = t.route_to.(sn) in
-  if d <> sn then begin
-    t.c_remaps <- t.c_remaps + 1;
-    bump t.m_remaps
-  end;
+  if d <> sn then t.c_remaps <- t.c_remaps + 1;
   d
 
 let cache_online t ~node = not t.offline.(node)
@@ -140,28 +120,11 @@ let backoff_us t ~node ~attempt =
 
 let failover_node t ~node = (node + 1) mod t.storage_nodes
 
-let record_fault t =
-  t.c_faults <- t.c_faults + 1;
-  bump t.m_faults
-
-let record_retry t =
-  t.c_retries <- t.c_retries + 1;
-  bump t.m_retries
-
-let record_timeout t =
-  t.c_timeouts <- t.c_timeouts + 1;
-  bump t.m_timeouts
-
-let record_failover t =
-  t.c_failovers <- t.c_failovers + 1;
-  bump t.m_failovers
-
-let record_offline_miss t =
-  t.c_offline_misses <- t.c_offline_misses + 1;
-  bump t.m_offline
-
-let observe_retry_latency t us =
-  match t.retry_hist with Some h -> Flo_obs.Histogram.add h us | None -> ()
+let record_fault t = t.c_faults <- t.c_faults + 1
+let record_retry t = t.c_retries <- t.c_retries + 1
+let record_timeout t = t.c_timeouts <- t.c_timeouts + 1
+let record_failover t = t.c_failovers <- t.c_failovers + 1
+let record_offline_miss t = t.c_offline_misses <- t.c_offline_misses + 1
 
 let counts t =
   {

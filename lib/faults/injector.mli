@@ -7,10 +7,7 @@
     within a run — and results are identical at every [--jobs] setting.
 
     The query functions are pure unless documented otherwise; the [record_*]
-    functions bump the counters (and the optional {!Flo_obs.Metrics}
-    registry: ["fault_total"], ["retry_total"], ["timeout_total"],
-    ["failover_total"], ["remap_total"], ["cache_offline_miss_total"] and
-    the ["retry_latency_us"] histogram). *)
+    functions bump the counters that {!counts} reads. *)
 
 type t
 
@@ -24,7 +21,7 @@ type counts = {
   spikes : int;  (** latency-spike multipliers drawn *)
 }
 
-val create : ?metrics:Flo_obs.Metrics.t -> storage_nodes:int -> Fault_plan.t -> t
+val create : storage_nodes:int -> Fault_plan.t -> t
 (** Compile [plan] for a hierarchy with [storage_nodes] nodes.  Multiple
     clauses targeting one node compose: read-error rates combine as
     independent failure sources, [degrade] multipliers multiply, the last
@@ -64,10 +61,6 @@ val record_retry : t -> unit
 val record_timeout : t -> unit
 val record_failover : t -> unit
 val record_offline_miss : t -> unit
-
-val observe_retry_latency : t -> float -> unit
-(** Record the extra modeled latency (failed attempts + backoffs) a request
-    accumulated beyond its final successful read. *)
 
 val counts : t -> counts
 (** Snapshot of the counters. *)

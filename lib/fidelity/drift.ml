@@ -36,22 +36,16 @@ let rel_of_reason = function
   | Fidelity_degraded { rel; _ } ->
     rel
 
-type config = {
-  enter : float;
-  exit_ : float;
-  enter_streak : int;
-  exit_streak : int;
-}
+type config = { enter : float; exit_ : float; streak : int }
 
-let default_config = { enter = 0.25; exit_ = 0.10; enter_streak = 2; exit_streak = 2 }
+let default_config = { enter = 0.25; exit_ = 0.10; streak = 2 }
 
 let validate_config c =
   if not (Float.is_finite c.enter && Float.is_finite c.exit_) then
     Error "thresholds must be finite"
   else if c.exit_ < 0. then Error "exit threshold must be non-negative"
   else if c.enter < c.exit_ then Error "enter threshold must be >= exit threshold"
-  else if c.enter_streak < 1 || c.exit_streak < 1 then
-    Error "streaks must be positive"
+  else if c.streak < 1 then Error "streaks must be positive"
   else Ok ()
 
 type t = {
@@ -149,9 +143,9 @@ let observe t cur =
   let above = if s >= t.config.enter then t.above + 1 else 0 in
   let below = if s <= t.config.exit_ then t.below + 1 else 0 in
   let t = { t with windows = t.windows + 1; above; below; last = s } in
-  if (not t.on) && above >= t.config.enter_streak then
+  if (not t.on) && above >= t.config.streak then
     { t with on = true; on_reasons = firing; above = 0; below = 0 }
-  else if t.on && below >= t.config.exit_streak then
+  else if t.on && below >= t.config.streak then
     { t with on = false; on_reasons = []; above = 0; below = 0 }
   else t
 

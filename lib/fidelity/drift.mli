@@ -8,10 +8,10 @@
     signal (captured when the layouts were installed) and folds windows
     with {!observe}: each window's {!score} is the worst normalized
     component delta against the baseline, and the re-layout
-    recommendation flips with hysteresis — it takes [enter_streak]
-    consecutive windows above [enter] to raise it and [exit_streak]
-    consecutive windows below [exit] to clear it, so a single noisy
-    window can neither trigger nor cancel a recommendation.
+    recommendation flips with hysteresis — it takes [streak] consecutive
+    windows above [enter] to raise it and [streak] consecutive windows
+    below [exit] to clear it, so a single noisy window can neither trigger
+    nor cancel a recommendation.
 
     Pure value-level folding: no clocks, no I/O, no randomness — verdicts
     are a function of the signals alone. *)
@@ -44,15 +44,14 @@ val reason_to_string : reason -> string
 type config = {
   enter : float;  (** score at or above this counts towards raising *)
   exit_ : float;  (** score at or below this counts towards clearing *)
-  enter_streak : int;  (** consecutive high windows required to raise *)
-  exit_streak : int;  (** consecutive low windows required to clear *)
+  streak : int;  (** consecutive high (low) windows required to raise (clear) *)
 }
 
 val default_config : config
-(** [enter = 0.25], [exit_ = 0.10], both streaks 2. *)
+(** [enter = 0.25], [exit_ = 0.10], [streak = 2]. *)
 
 val validate_config : config -> (unit, string) result
-(** [0 <= exit_ <= enter], both streaks positive. *)
+(** [0 <= exit_ <= enter], a positive [streak]. *)
 
 type t
 

@@ -109,15 +109,3 @@ let ok t =
   flagged t = []
   && sharing_rel_drift t <= t.tolerance
   && layer_violations t = []
-
-let record t registry =
-  let labels = [ ("app", t.app) ] in
-  let set name v =
-    Flo_obs.Metrics.set_gauge (Flo_obs.Metrics.gauge registry ~labels name) v
-  in
-  set "fidelity.distinct.max_abs_drift" (float_of_int (max_abs_drift t));
-  set "fidelity.distinct.max_rel_drift" (max_rel_drift t);
-  set "fidelity.sharing.abs_drift" (float_of_int (sharing_drift t));
-  set "fidelity.sharing.pairs_drift" (float_of_int (pairs_drift t));
-  set "fidelity.flagged_rows" (float_of_int (List.length (flagged t)));
-  set "fidelity.layer_violations" (float_of_int (List.length (layer_violations t)))

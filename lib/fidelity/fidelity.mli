@@ -76,9 +76,3 @@ val layer_violations : t -> layer_row list
 
 val ok : t -> bool
 (** No flagged rows, sharing drift within tolerance, no layer violations. *)
-
-val record : t -> Flo_obs.Metrics.t -> unit
-(** Publish the drift aggregates as gauges labelled [app=<name>]:
-    [fidelity.distinct.max_abs_drift], [fidelity.distinct.max_rel_drift],
-    [fidelity.sharing.abs_drift], [fidelity.sharing.pairs_drift],
-    [fidelity.flagged_rows], [fidelity.layer_violations]. *)

@@ -13,7 +13,7 @@ type t = {
      histograms that never trace pay nothing; each bucket's list is sorted
      by the keep-max rule: value descending, trace id ascending on ties *)
   mutable exemplars : exemplar list array option;
-  mutable exemplar_cap : int;
+  mutable ex_cap : int;  (* the largest [cap] any add_exemplar asked for *)
 }
 
 let create ?(lo = 1.0) ?(gamma = 1.6) ?(buckets = 48) () =
@@ -30,7 +30,7 @@ let create ?(lo = 1.0) ?(gamma = 1.6) ?(buckets = 48) () =
     min_v = infinity;
     max_v = neg_infinity;
     exemplars = None;
-    exemplar_cap = 0;
+    ex_cap = 0;
   }
 
 let bucket_count t = Array.length t.buckets
@@ -108,9 +108,9 @@ let add_exemplar ?(cap = 2) t ~value ~trace_id =
       t.exemplars <- Some slots;
       slots
   in
-  if cap > t.exemplar_cap then t.exemplar_cap <- cap;
+  if cap > t.ex_cap then t.ex_cap <- cap;
   let i = index_of t value in
-  slots.(i) <- merge_exemplars ~cap:t.exemplar_cap [ { value; trace_id } ] slots.(i)
+  slots.(i) <- merge_exemplars ~cap:t.ex_cap [ { value; trace_id } ] slots.(i)
 
 let exemplars_of_bucket t i =
   match t.exemplars with
@@ -192,7 +192,7 @@ let same_shape a b =
 
 let merge a b =
   if not (same_shape a b) then invalid_arg "Histogram.merge: shape mismatch";
-  let cap = max a.exemplar_cap b.exemplar_cap in
+  let cap = max a.ex_cap b.ex_cap in
   let exemplars =
     match (a.exemplars, b.exemplars) with
     | None, None -> None
@@ -211,7 +211,7 @@ let merge a b =
     min_v = Float.min a.min_v b.min_v;
     max_v = Float.max a.max_v b.max_v;
     exemplars;
-    exemplar_cap = cap;
+    ex_cap = cap;
   }
 
 let copy t =

@@ -1,106 +1,32 @@
-type counter = { mutable c : int }
-type gauge = { mutable g : float }
-
-type cell = C of counter | G of gauge | H of Histogram.t
-
-type key = string * (string * string) list
-
-type t = { tbl : (key, cell) Hashtbl.t }
-
-type value = Counter of int | Gauge of float | Histogram of Histogram.t
+type t = { tbl : (string * (string * string) list, Histogram.t) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
-let normalize labels = List.sort compare labels
-
-let register t ~name ~labels ~(fresh : unit -> cell) ~(cast : cell -> 'a option) : 'a =
-  let key = (name, normalize labels) in
-  match Hashtbl.find_opt t.tbl key with
-  | Some cell -> (
-    match cast cell with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "Metrics: %S registered as another kind" name))
-  | None -> (
-    let cell = fresh () in
-    Hashtbl.replace t.tbl key cell;
-    match cast cell with
-    | Some v -> v
-    | None -> assert false)
-
-let counter t ?(labels = []) name =
-  register t ~name ~labels
-    ~fresh:(fun () -> C { c = 0 })
-    ~cast:(function C c -> Some c | _ -> None)
-
-let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
-
-let gauge t ?(labels = []) name =
-  register t ~name ~labels
-    ~fresh:(fun () -> G { g = 0. })
-    ~cast:(function G g -> Some g | _ -> None)
-
-let set_gauge g v = g.g <- v
-let gauge_value g = g.g
+let key name labels = (name, List.sort compare labels)
 
 let histogram t ?(labels = []) ?lo ?gamma ?buckets name =
-  register t ~name ~labels
-    ~fresh:(fun () -> H (Histogram.create ?lo ?gamma ?buckets ()))
-    ~cast:(function H h -> Some h | _ -> None)
+  let key = key name labels in
+  match Hashtbl.find_opt t.tbl key with
+  | Some h -> h
+  | None ->
+    let h = Histogram.create ?lo ?gamma ?buckets () in
+    Hashtbl.replace t.tbl key h;
+    h
 
-let value_of = function
-  | C c -> Counter c.c
-  | G g -> Gauge g.g
-  | H h -> Histogram h
-
-let find t ?(labels = []) name =
-  Option.map value_of (Hashtbl.find_opt t.tbl (name, normalize labels))
-
-let find_histogram t ?labels name =
-  match find t ?labels name with Some (Histogram h) -> Some h | _ -> None
+let find_histogram t ?(labels = []) name = Hashtbl.find_opt t.tbl (key name labels)
 
 let to_list t =
-  Hashtbl.fold (fun (name, labels) cell acc -> (name, labels, value_of cell) :: acc) t.tbl []
+  Hashtbl.fold (fun (name, labels) h acc -> (name, labels, h) :: acc) t.tbl []
   |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2))
-
-let cardinal t = Hashtbl.length t.tbl
-
-let combine name a b =
-  match (a, b) with
-  | C x, C y -> C { c = x.c + y.c }
-  | G x, G y -> G { g = Float.max x.g y.g }
-  | H x, H y -> H (Histogram.merge x y)
-  | _ -> invalid_arg (Printf.sprintf "Metrics.merge: %S registered as different kinds" name)
-
-let copy_cell = function
-  | C x -> C { c = x.c }
-  | G x -> G { g = x.g }
-  | H h -> H (Histogram.copy h)
 
 let merge a b =
   let m = create () in
-  Hashtbl.iter (fun key cell -> Hashtbl.replace m.tbl key (copy_cell cell)) a.tbl;
+  Hashtbl.iter (fun key h -> Hashtbl.replace m.tbl key (Histogram.copy h)) a.tbl;
   Hashtbl.iter
-    (fun ((name, _) as key) cell ->
-      match Hashtbl.find_opt m.tbl key with
-      | None -> Hashtbl.replace m.tbl key (copy_cell cell)
-      | Some prev -> Hashtbl.replace m.tbl key (combine name prev cell))
+    (fun key h ->
+      Hashtbl.replace m.tbl key
+        (match Hashtbl.find_opt m.tbl key with
+        | None -> Histogram.copy h
+        | Some prev -> Histogram.merge prev h))
     b.tbl;
   m
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (name, labels, v) ->
-      let labels_str =
-        match labels with
-        | [] -> ""
-        | l ->
-          "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l) ^ "}"
-      in
-      match v with
-      | Counter c -> Format.fprintf ppf "%s%s = %d@," name labels_str c
-      | Gauge g -> Format.fprintf ppf "%s%s = %g@," name labels_str g
-      | Histogram h -> Format.fprintf ppf "%s%s = %a@," name labels_str Histogram.pp h)
-    (to_list t);
-  Format.fprintf ppf "@]"

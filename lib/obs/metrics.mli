@@ -1,37 +1,20 @@
-(** Registry of named metrics with labeled dimensions.
+(** Registry of named histograms with labeled dimensions.
 
-    A metric is identified by its name plus a set of [(key, value)] labels
-    (order-insensitive): ["l2.hits"] with [[("node", "3")]] is a different
-    time series from the same name with [("node", "0")].  Registration is
-    idempotent — asking again for the same (name, labels, kind) returns the
-    same underlying cell, so hot paths can resolve handles once at setup.
+    A histogram is identified by its name plus a set of [(key, value)]
+    labels (order-insensitive): ["disk_service_us"] with [[("node", "3")]]
+    is a different time series from the same name with [("node", "0")].
+    Registration is idempotent — asking again for the same (name, labels)
+    returns the same histogram, so hot paths can resolve handles once at
+    setup.
 
-    {!merge} combines registries from independent runs (or shards): counters
-    add, gauges take the max, histograms merge bucket-wise.  All three
-    combinations are associative and commutative, so merging is
-    order-independent — the property [test/test_obs.ml] checks. *)
+    {!merge} combines registries from independent runs (or shards) by
+    merging histograms bucket-wise.  That is associative and commutative,
+    so merging is order-independent — the property [test/test_obs.ml]
+    checks. *)
 
 type t
 
-type counter
-type gauge
-
-type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of Histogram.t  (** live reference, not a snapshot *)
-
 val create : unit -> t
-
-val counter : t -> ?labels:(string * string) list -> string -> counter
-(** @raise Invalid_argument if the name+labels is registered as another kind. *)
-
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
-
-val gauge : t -> ?labels:(string * string) list -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   t -> ?labels:(string * string) list -> ?lo:float -> ?gamma:float -> ?buckets:int ->
@@ -39,16 +22,12 @@ val histogram :
 (** The shape parameters apply only on first registration; later lookups
     return the existing histogram unchanged. *)
 
-val find : t -> ?labels:(string * string) list -> string -> value option
 val find_histogram : t -> ?labels:(string * string) list -> string -> Histogram.t option
 
-val to_list : t -> (string * (string * string) list * value) list
-(** Sorted by name, then labels — a stable order for reports and tests. *)
-
-val cardinal : t -> int
+val to_list : t -> (string * (string * string) list * Histogram.t) list
+(** Live references, sorted by name, then labels — a stable order for
+    reports and tests. *)
 
 val merge : t -> t -> t
 (** Fresh registry; inputs unchanged.
-    @raise Invalid_argument on kind or histogram-shape conflicts. *)
-
-val pp : Format.formatter -> t -> unit
+    @raise Invalid_argument on histogram-shape conflicts. *)

@@ -3,39 +3,6 @@ type t = { emit : Event.t -> unit; flush : unit -> unit }
 let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
 let is_null t = t == null
 
-type ring = {
-  capacity : int;
-  mutable buf : Event.t array;  (* empty until the first emit *)
-  mutable next : int;  (* slot for the next event *)
-  mutable length : int;
-  mutable dropped : int;
-}
-
-let create_ring ~capacity =
-  if capacity <= 0 then invalid_arg "Sink.create_ring: capacity must be positive";
-  { capacity; buf = [||]; next = 0; length = 0; dropped = 0 }
-
-let ring_capacity r = r.capacity
-let ring_length r = r.length
-let ring_dropped r = r.dropped
-
-let ring_push r e =
-  if Array.length r.buf = 0 then r.buf <- Array.make r.capacity e;
-  r.buf.(r.next) <- e;
-  r.next <- (r.next + 1) mod r.capacity;
-  if r.length < r.capacity then r.length <- r.length + 1 else r.dropped <- r.dropped + 1
-
-let ring_events r =
-  let start = (r.next - r.length + r.capacity) mod r.capacity in
-  List.init r.length (fun i -> r.buf.((start + i) mod r.capacity))
-
-let ring_clear r =
-  r.next <- 0;
-  r.length <- 0;
-  r.dropped <- 0
-
-let ring_sink r = { emit = ring_push r; flush = (fun () -> ()) }
-
 let jsonl oc =
   {
     emit =
@@ -79,15 +46,3 @@ let with_jsonl path f =
     Printexc.raise_with_backtrace e bt
 
 let callback f = { emit = f; flush = (fun () -> ()) }
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-  }

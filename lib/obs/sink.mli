@@ -15,27 +15,7 @@ val null : t
 
 val is_null : t -> bool
 
-(** {1 Ring buffer} — keeps the newest [capacity] events in memory. *)
-
-type ring
-
-val create_ring : capacity:int -> ring
-(** @raise Invalid_argument if [capacity <= 0]. *)
-
-val ring_sink : ring -> t
-val ring_capacity : ring -> int
-val ring_length : ring -> int
-(** Number of retained events, [<= capacity]. *)
-
-val ring_dropped : ring -> int
-(** Events overwritten because the ring was full. *)
-
-val ring_events : ring -> Event.t list
-(** Retained events, oldest first. *)
-
-val ring_clear : ring -> unit
-
-(** {1 Writers and combinators} *)
+(** {1 Writers} *)
 
 val jsonl : out_channel -> t
 (** One {!Event.to_json} line per event.  [flush] flushes the channel; the
@@ -50,6 +30,3 @@ val with_jsonl : string -> (t -> 'a) -> 'a
     only the [.part] file behind: [path] is never truncated. *)
 
 val callback : (Event.t -> unit) -> t
-
-val tee : t -> t -> t
-(** Emit to both sinks (left first). *)

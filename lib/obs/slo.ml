@@ -159,16 +159,14 @@ let count_alerts ~bad_flags ~span ~frac ~budget_windows =
   done;
   !fired
 
-let evaluate ?fast_span ?slow_span spec samples =
+let evaluate spec samples =
   Array.iter
     (fun s ->
       if s.total < 0 || s.breaching < 0 || s.breaching > s.total then
         invalid_arg "Slo.evaluate: sample counts must satisfy 0 <= breaching <= total")
     samples;
   let windows = Array.length samples in
-  let clamp span = max 1 (min (max windows 1) span) in
-  let fast_span = clamp (Option.value fast_span ~default:1) in
-  let slow_span = clamp (Option.value slow_span ~default:(max 1 (windows / 4))) in
+  let fast_span = 1 and slow_span = max 1 (windows / 4) in
   let bad_flags = Array.map (fun s -> not (good spec s)) samples in
   let bad_windows = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bad_flags in
   let good_windows = windows - bad_windows in
@@ -204,16 +202,3 @@ let evaluate ?fast_span ?slow_span spec samples =
     slow_tickets = count_alerts ~bad_flags ~span:slow_span ~frac:0.01 ~budget_windows;
     compliant = compliance >= spec.target;
   }
-
-(* ---- gauges ----------------------------------------------------------- *)
-
-let burn_rate_gauge = "slo.burn_rate"
-let budget_remaining_gauge = "slo.budget_remaining"
-
-let record v ?labels registry =
-  Metrics.set_gauge (Metrics.gauge registry ?labels burn_rate_gauge) v.burn_rate;
-  Metrics.set_gauge
-    (Metrics.gauge registry ?labels budget_remaining_gauge)
-    v.budget_remaining;
-  Metrics.incr ~by:v.fast_pages (Metrics.counter registry ?labels "slo.fast_pages");
-  Metrics.incr ~by:v.slow_tickets (Metrics.counter registry ?labels "slo.slow_tickets")

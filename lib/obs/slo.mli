@@ -61,27 +61,17 @@ type verdict = {
           budget by period end, above 1 exhausts it early *)
   fast_pages : int;
       (** windows where the fast alert fired: the window is bad and the
-          trailing [fast_span] windows consumed >= 5% of the period budget *)
+          trailing span of 1 window consumed >= 5% of the period budget *)
   slow_tickets : int;
-      (** same with [slow_span] and a 1% consumption threshold *)
+      (** same with a trailing span of [max 1 (windows / 4)] windows and a
+          1% consumption threshold *)
   compliant : bool;  (** [compliance >= target] *)
 }
 
-val evaluate : ?fast_span:int -> ?slow_span:int -> spec -> sample array -> verdict
+val evaluate : spec -> sample array -> verdict
 (** Score the period.  [samples] is one entry per window in time order.
-    [fast_span] defaults to 1 window, [slow_span] to [max 1 (windows / 4)];
-    both are clamped to [[1, windows]].  With few modeled windows the 5%/1%
+    With few modeled windows the 5%/1%
     thresholds can fall below one window — then any bad window alerts,
     which is the conservative reading.
     @raise Invalid_argument on a sample with negative counts or
     [breaching > total]. *)
-
-val burn_rate_gauge : string
-(** ["slo.burn_rate"] — gauge name the evaluators publish under. *)
-
-val budget_remaining_gauge : string
-(** ["slo.budget_remaining"] *)
-
-val record : verdict -> ?labels:(string * string) list -> Metrics.t -> unit
-(** Publish [burn_rate] and [budget_remaining] gauges plus
-    [slo.fast_pages] / [slo.slow_tickets] counters under [labels]. *)

@@ -20,7 +20,6 @@ type t = {
   l2_stats : Stats.t array;
   disks : Disk.t array;
   costs : costs;
-  file_stride : int;
   readahead : int;
   clocks : float array;
   (* readahead-inserted blocks not yet claimed by a demand access, per
@@ -46,8 +45,7 @@ type t = {
 }
 
 let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
-    ?(costs = default_costs) ?disk_params ?(file_stride = Striping.default_file_stride)
-    ?(readahead = 0) ?(sink = Flo_obs.Sink.null) ?metrics ?faults topo =
+    ?(costs = default_costs) ?disk_params ?(readahead = 0) ?(sink = Flo_obs.Sink.null) ?metrics ?faults topo =
   if readahead < 0 then invalid_arg "Hierarchy.create: negative readahead";
   let threads = Topology.threads topo in
   let mapping =
@@ -107,7 +105,6 @@ let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
     l2_stats = Array.init topo.Topology.storage_nodes (fun _ -> Stats.create ());
     disks;
     costs;
-    file_stride;
     readahead;
     clocks = Array.make threads 0.;
     speculative =
@@ -208,7 +205,6 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
     let svc = read node in
     emit t ~time_us ~kind:Flo_obs.Event.Failover ~layer:Flo_obs.Event.Disk ~node ~thread
       ~latency_us:svc b;
-    Flo_faults.Injector.observe_retry_latency inj extra;
     extra +. svc
   in
   let rec attempt k ~extra =
@@ -216,7 +212,6 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
     if not (Flo_faults.Injector.draw_read_error inj ~node:sn) then begin
       emit t ~time_us ~kind:Flo_obs.Event.Disk_read ~layer:Flo_obs.Event.Disk ~node:sn
         ~thread ~latency_us:svc b;
-      if extra > 0. then Flo_faults.Injector.observe_retry_latency inj extra;
       extra +. svc
     end
     else begin
@@ -290,7 +285,7 @@ let access_generic t ~thread b =
       | _ -> ());
       let lba =
         Striping.lba_of ~storage_nodes:t.topo.Topology.storage_nodes
-          ~file_stride:t.file_stride b
+          ~file_stride:Striping.default_file_stride b
       in
       let service =
         match t.faults with
@@ -317,7 +312,7 @@ let access_generic t ~thread b =
             Block.make ~file:(Block.file b)
               ~index:(Block.index b + (k * t.topo.Topology.storage_nodes))
           in
-          if Block.index next / t.topo.Topology.storage_nodes < t.file_stride
+          if Block.index next / t.topo.Topology.storage_nodes < Striping.default_file_stride
              && not (t.l2.(sn).Policy.contains next)
           then begin
             Stats.record_prefetch t.l2_stats.(sn);
@@ -421,7 +416,7 @@ let access_fast t f ~thread b =
       Hashtbl.remove t.speculative.(sn) b;
       let lba =
         Striping.lba_of ~storage_nodes:t.topo.Topology.storage_nodes
-          ~file_stride:t.file_stride b
+          ~file_stride:Striping.default_file_stride b
       in
       let service = Disk.service t.disks.(sn) ~lba in
       (match t.disk_hists.(sn) with
@@ -435,7 +430,7 @@ let access_fast t f ~thread b =
             Block.make ~file:(Block.file b)
               ~index:(Block.index b + (k * t.topo.Topology.storage_nodes))
           in
-          if Block.index next / t.topo.Topology.storage_nodes < t.file_stride
+          if Block.index next / t.topo.Topology.storage_nodes < Striping.default_file_stride
              && not (Flat_lru.contains f.fl2.(sn) (next :> int))
           then begin
             Stats.record_prefetch t.l2_stats.(sn);

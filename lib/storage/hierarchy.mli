@@ -49,7 +49,6 @@ val create :
   ?l2_factory:Policy.factory ->
   ?costs:costs ->
   ?disk_params:Disk.params ->
-  ?file_stride:int ->
   ?readahead:int ->
   ?sink:Flo_obs.Sink.t ->
   ?metrics:Flo_obs.Metrics.t ->

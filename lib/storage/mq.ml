@@ -122,19 +122,17 @@ let remove s b =
     s.count <- s.count - 1;
     true
 
-let create_custom ~queues ~lifetime ~capacity : Policy.t =
+let create ~capacity : Policy.t =
   Policy.check_capacity capacity;
-  if queues < 2 then invalid_arg "Mq.create: queues < 2";
-  let lifetime = match lifetime with Some l -> l | None -> 4 * capacity in
   let s =
     {
       capacity;
-      queues = Array.init queues (fun _ -> Dll.create ());
+      queues = Array.init 8 (fun _ -> Dll.create ());
       tbl = Block.Tbl.create (2 * capacity);
       hist = Block.Tbl.create (8 * capacity);
       hist_fifo = Queue.create ();
       hist_cap = 4 * capacity;
-      lifetime;
+      lifetime = 4 * capacity;
       time = 0;
       count = 0;
     }
@@ -159,5 +157,3 @@ let create_custom ~queues ~lifetime ~capacity : Policy.t =
     iter = (fun f -> Block.Tbl.iter (fun b _ -> f b) s.tbl);
     fast = None;
   }
-
-let create ~capacity = create_custom ~queues:8 ~lifetime:None ~capacity

@@ -9,7 +9,3 @@
 val create : Policy.factory
 (** 8 queues, lifetime [4 * capacity] accesses, history of [4 * capacity]
     entries. *)
-
-val create_custom : queues:int -> lifetime:int option -> Policy.factory
-(** [lifetime = None] means [4 * capacity].
-    @raise Invalid_argument if [queues < 2]. *)

@@ -378,54 +378,6 @@ let opt_advantage active =
     let d = mean_of (List.map (fun (s : tenant_stats) -> s.p50_us) dfl) in
     if d = 0. then None else Some (100. *. ((d -. o) /. d))
 
-(* per-tenant, per-shard and overload counters for the observability
-   layer; filled after the parallel phases so the registry is only touched
-   by one domain *)
-let publish_metrics registry tenants_stats shards overload =
-  Array.iter
-    (fun s ->
-      let labels = [ ("tenant", string_of_int s.tenant) ] in
-      Flo_obs.Metrics.incr ~by:s.jobs (Flo_obs.Metrics.counter registry ~labels "traffic.jobs");
-      Flo_obs.Metrics.incr ~by:s.requests
-        (Flo_obs.Metrics.counter registry ~labels "traffic.requests"))
-    tenants_stats;
-  Array.iter
-    (fun s ->
-      let labels = [ ("shard", string_of_int s.shard) ] in
-      Flo_obs.Metrics.incr ~by:s.shard_requests
-        (Flo_obs.Metrics.counter registry ~labels "traffic.shard_requests"))
-    shards;
-  Option.iter
-    (fun ol ->
-      let counter name by =
-        Flo_obs.Metrics.incr ~by (Flo_obs.Metrics.counter registry name)
-      in
-      counter "overload.shed_requests" ol.ol_shed_requests;
-      counter "overload.admitted_requests" ol.ol_admitted_requests;
-      counter "overload.browned_jobs" ol.ol_browned_jobs;
-      counter "overload.failover_jobs" ol.ol_failover_jobs;
-      Flo_obs.Metrics.set_gauge
-        (Flo_obs.Metrics.gauge registry "overload.goodput_rps")
-        ol.ol_goodput_rps;
-      Flo_obs.Metrics.set_gauge
-        (Flo_obs.Metrics.gauge registry "overload.shed_fraction")
-        ol.ol_shed_fraction;
-      Array.iteri
-        (fun s cells ->
-          let opened =
-            Array.fold_left
-              (fun a c ->
-                match c.aw_breaker with Some (Flo_faults.Breaker.Open _) -> a + 1 | _ -> a)
-              0 cells
-          in
-          if opened > 0 then
-            Flo_obs.Metrics.incr ~by:opened
-              (Flo_obs.Metrics.counter registry
-                 ~labels:[ ("shard", string_of_int s) ]
-                 "overload.breaker_open_windows"))
-        ol.ol_admissions)
-    overload
-
 (* ---------------------------------------------------------------------- *)
 (* Control: between planning and replay, a controller decides which jobs
    each (shard, window) serves, with which kernels and under which
@@ -916,7 +868,7 @@ let admission_control ?jobs ~config ~p ~kernels ~(o : Overload.params) shard_pla
 (* The pipeline: plan (parallel per home shard) -> control -> replay and
    trace (parallel per home shard) -> observe (merge in shard order). *)
 
-let simulate ?jobs ?metrics ~config p =
+let simulate ?jobs ~config p =
   (match validate p with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Traffic.Engine.simulate: " ^ msg));
@@ -1007,7 +959,6 @@ let simulate ?jobs ?metrics ~config p =
   let total_jobs = Array.fold_left (fun a s -> a + s.shard_jobs) 0 shards in
   let total_requests = Array.fold_left (fun a s -> a + s.shard_requests) 0 shards in
   let active = List.filter (fun s -> s.requests > 0) (Array.to_list tenants_stats) in
-  Option.iter (fun registry -> publish_metrics registry tenants_stats shards overload) metrics;
   {
     params = p;
     shards;

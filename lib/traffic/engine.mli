@@ -163,17 +163,14 @@ type result = {
           admission ledger. *)
 }
 
-val simulate :
-  ?jobs:int -> ?metrics:Flo_obs.Metrics.t -> config:Flo_engine.Config.t ->
-  params -> result
+val simulate : ?jobs:int -> config:Flo_engine.Config.t -> params -> result
 (** Compile the service kernels (one closed-loop run per (rank, mode)),
     then run the staged pipeline: {b plan} every tenant's arrivals in
     parallel per home shard; {b control} which jobs each (shard, window)
     serves; {b replay} the served cells in parallel per home shard (and let
     the tracer observe them); {b observe} by merging in shard order.
     Every field is a pure function of (params, config); the engine reads
-    no clock.  With [metrics], per-tenant [traffic.jobs]/[traffic.requests]
-    and per-shard [traffic.shard_requests] counters are recorded.
+    no clock.
 
     The controller is chosen by [params.overload].  With [None], the
     identity controller admits every job at its home shard, whose
@@ -185,8 +182,7 @@ val simulate :
     suppressing retry storms first (fail-fast kernel variants), then
     shedding or degrading whole jobs by exact largest-remainder
     apportioning.  No PRNG draws are made, so the trajectory is
-    byte-identical at every [jobs] value.  Additional [overload.*] counters
-    and gauges are recorded under [metrics].
+    byte-identical at every [jobs] value.
     @raise Invalid_argument when {!validate} rejects the params. *)
 
 val cells : result -> int -> Tracer.cells

@@ -81,12 +81,12 @@ let sum_samples windows per_tenant =
     per_tenant;
   acc
 
-let evaluate ?fast_span ?slow_span ?metrics spec (r : Engine.result) =
+let evaluate spec (r : Engine.result) =
   let windows = r.Engine.params.Engine.windows in
   let n = Array.length r.Engine.tenants_stats in
   let per_tenant = Array.init n (samples_of_tenant spec r) in
   let eval scope samples =
-    { scope; verdict = Slo.evaluate ?fast_span ?slow_span spec samples }
+    { scope; verdict = Slo.evaluate spec samples }
   in
   let tenant_rows = Array.mapi (fun t s -> eval (Tenant t) s) per_tenant in
   let cohort optimized =
@@ -103,20 +103,4 @@ let evaluate ?fast_span ?slow_span ?metrics spec (r : Engine.result) =
   in
   let cohort_rows = List.filter_map cohort [ false; true ] in
   let fleet = eval Fleet (sum_samples windows (Array.to_list per_tenant)) in
-  (match metrics with
-  | None -> ()
-  | Some registry ->
-    let publish row =
-      let labels =
-        match row.scope with
-        | Tenant t -> [ ("scope", "tenant"); ("tenant", string_of_int t) ]
-        | Cohort o ->
-          [ ("scope", "cohort"); ("cohort", if o then "optimized" else "default") ]
-        | Fleet -> [ ("scope", "fleet") ]
-      in
-      Slo.record row.verdict ~labels registry
-    in
-    Array.iter publish tenant_rows;
-    List.iter publish cohort_rows;
-    publish fleet);
   { spec; windows; tenant_rows; cohort_rows; fleet }

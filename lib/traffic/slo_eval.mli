@@ -34,9 +34,5 @@ val samples_of_tenant : Flo_obs.Slo.spec -> Engine.result -> int -> Flo_obs.Slo.
     are the kernel's failed-read attempts per job, capped at the window's
     access count. *)
 
-val evaluate :
-  ?fast_span:int -> ?slow_span:int -> ?metrics:Flo_obs.Metrics.t ->
-  Flo_obs.Slo.spec -> Engine.result -> t
-(** Score every tenant, both layout cohorts, and the fleet.  With
-    [metrics], burn-rate and budget gauges plus page/ticket counters are
-    published per scope (labels [scope]/[tenant]/[cohort]). *)
+val evaluate : Flo_obs.Slo.spec -> Engine.result -> t
+(** Score every tenant, both layout cohorts, and the fleet. *)

@@ -8,18 +8,13 @@ module Trace = Flo_obs.Trace
    (params, controller decisions): no draws, no wall clock, no shard
    interleaving. *)
 
-type params = {
-  sample_rate : int;
-  breach_us : float;
-  exemplar_cap : int;
-}
+type params = { sample_rate : int; breach_us : float }
 
-let default = { sample_rate = 65536; breach_us = 1e6; exemplar_cap = 2 }
+let default = { sample_rate = 65536; breach_us = 1e6 }
 
 let validate t =
   if t.sample_rate < 1 then Error "trace sample-rate must be positive"
   else if not (t.breach_us > 0.) then Error "trace breach threshold must be positive"
-  else if t.exemplar_cap < 1 then Error "trace exemplar cap must be positive"
   else Ok ()
 
 type cells =
@@ -147,8 +142,7 @@ let trace_tenant ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~hist cell
         ~outcome:(outcome_of g.g_profile) ~latency_us:g.g_latency_us ~count ~reasons
         ~root:(span_tree ~win_len_us g)
     in
-    Flo_obs.Histogram.add_exemplar ~cap:t.exemplar_cap hist ~value:g.g_latency_us
-      ~trace_id;
+    Flo_obs.Histogram.add_exemplar hist ~value:g.g_latency_us ~trace_id;
     traces_rev := trace :: !traces_rev
   in
   List.iteri

@@ -17,18 +17,17 @@
     counter [2*seq] (head) or [2*seq + 1] (group at its first sequence
     number), so ids never collide and are a pure function of (seed, tenant,
     replay position): output is byte-identical at every [--jobs].  Every
-    emitted trace also lands as a histogram exemplar, which is how
-    [slo_report]'s p99 lines link to concrete traces. *)
+    emitted trace also lands as a histogram exemplar (at most 2 per
+    bucket), which is how [slo_report]'s p99 lines link to concrete
+    traces. *)
 
 type params = {
   sample_rate : int;  (** head sampling: 1 trace per N requests per tenant *)
   breach_us : float;  (** tail sampling: keep classes slower than this *)
-  exemplar_cap : int;  (** exemplars kept per histogram bucket *)
 }
 
 val default : params
-(** [sample_rate 65536], [breach_us 1e6] (only the extreme tail),
-    [exemplar_cap 2]. *)
+(** [sample_rate 65536], [breach_us 1e6] (only the extreme tail). *)
 
 val validate : params -> (unit, string) result
 

@@ -432,10 +432,17 @@ let test_optimizer_decisions () =
   | _ -> Alcotest.fail "opaque array must stay canonical");
   Alcotest.(check (float 1e-9)) "mean coverage" 1.0 (Optimizer.mean_coverage plan)
 
-let test_optimizer_min_coverage () =
-  let plan = Optimizer.run ~min_coverage:0. ~spec:spec4 program_mixed in
-  (* with the gate dropped, the tied array is restructured too *)
-  check "optimized with gate off" 2 (Optimizer.optimized_count plan)
+let test_optimizer_coverage_gate () =
+  let plan = Optimizer.run ~spec:spec4 program_mixed in
+  (* the tied array's Step I solution satisfies exactly half of the
+     reference weight: no strict majority, so the gate keeps it canonical *)
+  match List.find (fun d -> d.Optimizer.array_id = 1) plan.Optimizer.decisions with
+  | { Optimizer.stage = Optimizer.Canonical; reason = Optimizer.Low_coverage c; _ } ->
+    Alcotest.(check (float 1e-9)) "declined at coverage 1/2" 0.5 c
+  | d ->
+    Alcotest.failf "tied array: stage %s, reason %s"
+      (Optimizer.stage_to_string d.Optimizer.stage)
+      (Optimizer.reason_to_string d.Optimizer.reason)
 
 let test_optimizer_scope_recorded () =
   let plan = Optimizer.run ~scope:Internode.Io_only ~spec:spec4 program_mixed in
@@ -536,7 +543,7 @@ let suite =
     ("scope patterns (Fig 7f)", `Quick, test_scope_patterns);
     ("layout_for", `Quick, test_layout_for);
     ("optimizer decisions", `Quick, test_optimizer_decisions);
-    ("optimizer coverage gate", `Quick, test_optimizer_min_coverage);
+    ("optimizer coverage gate", `Quick, test_optimizer_coverage_gate);
     ("optimizer scope", `Quick, test_optimizer_scope_recorded);
     ("reindex permutations", `Quick, test_permutations);
     ("reindex dominant order", `Quick, test_reindex_dominant_order);

@@ -296,10 +296,8 @@ let fig6_run ?sink ?metrics () =
 
 let test_sink_leaves_results_unchanged () =
   let plain = fig6_run () in
-  let ring = Flo_obs.Sink.create_ring ~capacity:200_000 in
   let observed =
-    fig6_run ~sink:(Flo_obs.Sink.ring_sink ring)
-      ~metrics:(Flo_obs.Metrics.create ()) ()
+    fig6_run ~sink:(Flo_obs.Sink.callback ignore) ~metrics:(Flo_obs.Metrics.create ()) ()
   in
   Alcotest.(check (float 0.)) "identical elapsed" plain.Run.elapsed_us
     observed.Run.elapsed_us;
@@ -310,10 +308,9 @@ let test_sink_leaves_results_unchanged () =
   checkb "per-thread clocks identical" true (plain.Run.thread_us = observed.Run.thread_us)
 
 let test_run_events_match_counters () =
-  let ring = Flo_obs.Sink.create_ring ~capacity:200_000 in
-  let r = fig6_run ~sink:(Flo_obs.Sink.ring_sink ring) () in
-  check "trace complete" 0 (Flo_obs.Sink.ring_dropped ring);
-  let events = Flo_obs.Sink.ring_events ring in
+  let rev_events = ref [] in
+  let r = fig6_run ~sink:(Flo_obs.Sink.callback (fun e -> rev_events := e :: !rev_events)) () in
+  let events = List.rev !rev_events in
   let count kind layer =
     List.length
       (List.filter
@@ -500,7 +497,10 @@ let test_trace_readable_immediately () =
   ignore
     (Flo_obs.Sink.with_jsonl path (fun sink ->
          fig6_run
-           ~sink:(Flo_obs.Sink.tee sink (Flo_analysis.Analyzer.sink live))
+           ~sink:
+             (Flo_obs.Sink.callback (fun e ->
+                  sink.Flo_obs.Sink.emit e;
+                  Flo_analysis.Analyzer.feed live e))
            ()));
   let off =
     match Flo_analysis.Analyzer.load_file path with

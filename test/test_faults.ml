@@ -421,25 +421,14 @@ let test_optimizer_degradation_consistent () =
 (* the --faults spec comes straight off the command line: the grammar must
    be total — structured Error on any byte string, never an exception *)
 let prop_fault_plan_parse_never_raises =
-  QCheck.Test.make ~count:1000 ~name:"Fault_plan.of_string is total on arbitrary bytes"
-    (QCheck.make ~print:String.escaped
-       QCheck.Gen.(
-         frequency
-           [
-             (3, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 48));
-             (* clause-shaped prefixes that reach every parser state *)
-             ( 2,
-               map
-                 (fun (a, b) -> a ^ b)
-                 (pair
-                    (oneofl
-                       [ "read-error:"; "latency:rate="; "degrade:mult=";
-                         "cache-off:node="; "failover:"; "retry:max="; ";;";
-                         "read-error:rate=0.1,"; "latency:rate=nan,mult=" ])
-                    (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 24)) ) );
-           ]))
-    (fun s ->
-      match Fault_plan.of_string s with Ok _ | Error _ -> true)
+  Spec_fuzz.total_on_bytes ~name:"Fault_plan.of_string is total on arbitrary bytes"
+    ~seeds:
+      [ (* clause-shaped prefixes that reach every parser state *)
+        "read-error:"; "latency:rate="; "degrade:mult="; "cache-off:node="; "failover:";
+        "retry:max="; ";;"; "read-error:rate=0.1,"; "latency:rate=nan,mult=";
+        "read-error:rate=0.02;latency:rate=0.05,mult=4";
+        "read-error:rate=0.3,node=0;retry:max=3,base=20000" ]
+    Fault_plan.of_string
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

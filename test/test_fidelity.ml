@@ -108,25 +108,6 @@ let test_predict_layer_expectations () =
   checkb "single owner" true p.P.single_owner;
   check "cross shared" 0 p.P.cross_shared_blocks
 
-let test_record_publishes_gauges () =
-  let fd = fidelity_of (Suite.find "cc-ver-1") in
-  let registry = Flo_obs.Metrics.create () in
-  F.record fd registry;
-  let labels = [ ("app", "cc-ver-1") ] in
-  List.iter
-    (fun name ->
-      match Flo_obs.Metrics.find registry ~labels name with
-      | Some (Flo_obs.Metrics.Gauge v) ->
-        Alcotest.(check (float 0.)) name 0. v
-      | _ -> Alcotest.failf "gauge %s missing" name)
-    [
-      "fidelity.distinct.max_abs_drift";
-      "fidelity.distinct.max_rel_drift";
-      "fidelity.sharing.abs_drift";
-      "fidelity.flagged_rows";
-      "fidelity.layer_violations";
-    ]
-
 let test_predict_validates_args () =
   let app = Suite.find "cc-ver-1" in
   let layouts = Experiment.inter_layouts config app in
@@ -297,7 +278,7 @@ let test_drift_flags_after_streak () =
 let test_drift_hysteresis () =
   let on =
     observe_n (D.create ~baseline:base_signal ()) shifted_signal
-      D.default_config.D.enter_streak
+      D.default_config.D.streak
   in
   checkb "raised" true (D.recommended on);
   let low1 = D.observe on base_signal in
@@ -355,8 +336,7 @@ let test_drift_config_validation () =
     [
       ("exit above enter", { D.default_config with D.exit_ = 0.5 });
       ("negative exit", { D.default_config with D.exit_ = -0.1 });
-      ("zero enter streak", { D.default_config with D.enter_streak = 0 });
-      ("zero exit streak", { D.default_config with D.exit_streak = 0 });
+      ("zero streak", { D.default_config with D.streak = 0 });
     ]
   in
   List.iter
@@ -403,7 +383,6 @@ let suite =
     ("default layout also exact", `Quick, test_default_layout_also_exact);
     ("tolerance masks flagging, not drift", `Quick, test_tolerance_masks_drift);
     ("Step II layer expectations", `Quick, test_predict_layer_expectations);
-    ("record publishes gauges", `Quick, test_record_publishes_gauges);
     ("argument validation", `Quick, test_predict_validates_args);
     ("Predict matches reference_streams", `Slow, test_predict_matches_reference);
     ("row drift arithmetic", `Quick, test_row_drift_arithmetic);

@@ -171,69 +171,56 @@ let prop_histogram_bucket_monotone =
 
 let test_metrics_registry () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "requests" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  check "counter" 5 (Metrics.counter_value c);
-  (* registration is idempotent: same cell comes back *)
-  let c' = Metrics.counter m "requests" in
-  Metrics.incr c';
-  check "same cell" 6 (Metrics.counter_value c);
-  (* labels are order-insensitive dimensions *)
-  let l1 = Metrics.counter m ~labels:[ ("node", "0"); ("layer", "l1") ] "hits" in
-  let l1' = Metrics.counter m ~labels:[ ("layer", "l1"); ("node", "0") ] "hits" in
-  let l2 = Metrics.counter m ~labels:[ ("node", "0"); ("layer", "l2") ] "hits" in
-  Metrics.incr l1;
-  Metrics.incr l1';
-  Metrics.incr l2;
-  check "labeled cell shared" 2 (Metrics.counter_value l1);
-  check "distinct labels distinct" 1 (Metrics.counter_value l2);
-  let g = Metrics.gauge m "depth" in
-  Metrics.set_gauge g 3.5;
-  checkf "gauge" 3.5 (Metrics.gauge_value g);
   let h = Metrics.histogram m "latency" in
   Histogram.add h 5.;
-  (match Metrics.find_histogram m "latency" with
-  | Some h' -> check "histogram findable" 1 (Histogram.count h')
+  (* registration is idempotent: the same histogram comes back, and the
+     shape parameters of a later lookup are ignored *)
+  Histogram.add (Metrics.histogram m ~buckets:4 "latency") 7.;
+  check "same histogram" 2 (Histogram.count h);
+  check "first shape kept" 48 (Histogram.bucket_count h);
+  (* labels are order-insensitive dimensions *)
+  let l1 = Metrics.histogram m ~labels:[ ("node", "0"); ("layer", "l1") ] "hits" in
+  let l1' = Metrics.histogram m ~labels:[ ("layer", "l1"); ("node", "0") ] "hits" in
+  let l2 = Metrics.histogram m ~labels:[ ("node", "0"); ("layer", "l2") ] "hits" in
+  Histogram.add l1 1.;
+  Histogram.add l1' 1.;
+  Histogram.add l2 1.;
+  check "labeled histogram shared" 2 (Histogram.count l1);
+  check "distinct labels distinct" 1 (Histogram.count l2);
+  (match Metrics.find_histogram m ~labels:[ ("layer", "l2"); ("node", "0") ] "hits" with
+  | Some h' -> check "findable in any label order" 1 (Histogram.count h')
   | None -> Alcotest.fail "histogram not found");
-  check "cardinal" 5 (Metrics.cardinal m);
-  Alcotest.check_raises "kind clash"
-    (Invalid_argument "Metrics: \"requests\" registered as another kind") (fun () ->
-      ignore (Metrics.gauge m "requests"))
+  checkb "unknown name" true (Metrics.find_histogram m "requests" = None);
+  (* to_list is sorted by name, then labels *)
+  Alcotest.(check (list (pair string (list (pair string string))))) "sorted listing"
+    [
+      ("hits", [ ("layer", "l1"); ("node", "0") ]);
+      ("hits", [ ("layer", "l2"); ("node", "0") ]);
+      ("latency", []);
+    ]
+    (List.map (fun (name, labels, _) -> (name, labels)) (Metrics.to_list m))
 
 (* ---- Metrics: merge is associative & commutative ----------------------- *)
 
 (* a comparable snapshot of a registry (histograms by bucket contents) *)
 let snapshot m =
   List.map
-    (fun (name, labels, v) ->
-      ( name,
-        labels,
-        match v with
-        | Metrics.Counter c -> `C c
-        | Metrics.Gauge g -> `G g
-        | Metrics.Histogram h ->
-          `H (Histogram.counts h, Histogram.count h, Histogram.sum h) ))
+    (fun (name, labels, h) ->
+      (name, labels, Histogram.counts h, Histogram.count h, Histogram.sum h))
     (Metrics.to_list m)
 
-(* registries built from op lists: (kind, name idx, label idx, int value) *)
+(* registries built from op lists: (name idx, label idx, int value) *)
 let registry_ops_arb =
   QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-    (QCheck.quad (QCheck.int_range 0 2) (QCheck.int_range 0 2) (QCheck.int_range 0 1)
-       (QCheck.int_range 0 100))
+    (QCheck.triple (QCheck.int_range 0 2) (QCheck.int_range 0 1) (QCheck.int_range 0 100))
 
 let build_registry ops =
   let m = Metrics.create () in
   List.iter
-    (fun (kind, name_i, label_i, v) ->
+    (fun (name_i, label_i, v) ->
       let name = [| "alpha"; "beta"; "gamma" |].(name_i) in
       let labels = if label_i = 0 then [] else [ ("node", "1") ] in
-      match kind with
-      | 0 -> Metrics.incr ~by:v (Metrics.counter m ~labels ("c." ^ name))
-      | 1 ->
-        let g = Metrics.gauge m ~labels ("g." ^ name) in
-        Metrics.set_gauge g (Float.max (Metrics.gauge_value g) (float_of_int v))
-      | _ -> Histogram.add (Metrics.histogram m ~labels ("h." ^ name)) (float_of_int v))
+      Histogram.add (Metrics.histogram m ~labels ("h." ^ name)) (float_of_int v))
     ops;
   m
 
@@ -252,8 +239,8 @@ let prop_metrics_merge_associative =
       = snapshot (Metrics.merge (Metrics.merge ma mb) mc))
 
 let prop_metrics_merge_leaves_inputs () =
-  let ma = build_registry [ (2, 0, 0, 7) ] in
-  let mb = build_registry [ (2, 0, 0, 9) ] in
+  let ma = build_registry [ (0, 0, 7) ] in
+  let mb = build_registry [ (0, 0, 9) ] in
   let merged = Metrics.merge ma mb in
   (* mutating the merged registry must not leak into the inputs *)
   (match Metrics.find_histogram merged "h.alpha" with
@@ -535,32 +522,16 @@ let prop_decoder_total name decode =
     (QCheck.make ~print:String.escaped hostile_string_gen)
     (fun s -> match decode s with Ok _ | Error _ -> true)
 
-(* ---- Sink: ring properties --------------------------------------------- *)
+(* ---- Sink ------------------------------------------------------------- *)
 
 let dummy_event i =
   Event.make ~time_us:(float_of_int i) ~kind:Event.Access ~layer:Event.L1 ~node:0
     ~thread:0 ~file:0 ~block:i ()
 
-let prop_ring_bounded_and_newest =
-  QCheck.Test.make ~name:"ring sink bounded, keeps newest" ~count:200
-    (QCheck.pair (QCheck.int_range 1 20) (QCheck.int_range 0 100)) (fun (cap, n) ->
-      let ring = Sink.create_ring ~capacity:cap in
-      let sink = Sink.ring_sink ring in
-      for i = 0 to n - 1 do
-        sink.Sink.emit (dummy_event i)
-      done;
-      let events = Sink.ring_events ring in
-      let expected = List.init (min cap n) (fun i -> n - min cap n + i) in
-      Sink.ring_length ring = min cap n
-      && List.length events = min cap n
-      && Sink.ring_dropped ring = max 0 (n - cap)
-      && List.map (fun (e : Event.t) -> e.Event.block) events = expected)
-
-let test_sink_jsonl_and_tee () =
+let test_sink_jsonl_and_callback () =
   let path = Filename.temp_file "flopt_obs" ".jsonl" in
   let oc = open_out path in
-  let ring = Sink.create_ring ~capacity:8 in
-  let sink = Sink.tee (Sink.jsonl oc) (Sink.ring_sink ring) in
+  let sink = Sink.jsonl oc in
   for i = 0 to 4 do
     sink.Sink.emit (dummy_event i)
   done;
@@ -575,14 +546,20 @@ let test_sink_jsonl_and_tee () =
    with End_of_file -> close_in ic);
   Sys.remove path;
   check "one line per event" 5 (List.length !lines);
-  check "tee reached the ring too" 5 (Sink.ring_length ring);
   List.iter
     (fun line ->
       checkb "line is a json object" true
         (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}'))
     !lines;
+  let seen = ref [] in
+  let callback = Sink.callback (fun e -> seen := e.Event.block :: !seen) in
+  for i = 0 to 4 do
+    callback.Sink.emit (dummy_event i)
+  done;
+  Alcotest.(check (list int)) "callback sees every event in order" [ 0; 1; 2; 3; 4 ]
+    (List.rev !seen);
   checkb "null sink is null" true (Sink.is_null Sink.null);
-  checkb "ring sink is not null" false (Sink.is_null (Sink.ring_sink ring))
+  checkb "callback sink is not null" false (Sink.is_null callback)
 
 exception Simulated_crash
 
@@ -696,14 +673,14 @@ let prop_hierarchy_events_match_stats =
         Topology.make ~compute_nodes:(io_nodes * compute_per_io) ~io_nodes ~storage_nodes
           ~block_elems:4 ~io_cache_blocks:io_cache ~storage_cache_blocks:st_cache ()
       in
-      let ring = Sink.create_ring ~capacity:65536 in
-      let h = Hierarchy.create ~protocol ~readahead ~sink:(Sink.ring_sink ring) topo in
+      let rev_events = ref [] in
+      let sink = Sink.callback (fun e -> rev_events := e :: !rev_events) in
+      let h = Hierarchy.create ~protocol ~readahead ~sink topo in
       List.iter
         (fun (thread, (file, index)) ->
           Hierarchy.access h ~thread (Block.make ~file ~index))
         accesses;
-      let events = Sink.ring_events ring in
-      checkb "ring large enough for the whole trace" true (Sink.ring_dropped ring = 0);
+      let events = List.rev !rev_events in
       let layer_ok layer stats_of nodes =
         List.init nodes Fun.id
         |> List.for_all (fun node ->
@@ -746,7 +723,6 @@ let qsuite =
       prop_decoder_total "Trace.of_json" Trace.of_json;
       prop_metrics_merge_commutative;
       prop_metrics_merge_associative;
-      prop_ring_bounded_and_newest;
       prop_hierarchy_events_match_stats;
     ]
 
@@ -767,7 +743,7 @@ let suite =
     ("json rejects garbage", `Quick, test_json_parse_rejects_garbage);
     ("json escapes decode once", `Quick, test_json_escapes_decode_once);
     ("json nesting cap", `Quick, test_json_nesting_cap);
-    ("jsonl + tee sinks", `Quick, test_sink_jsonl_and_tee);
+    ("jsonl + callback sinks", `Quick, test_sink_jsonl_and_callback);
     ("span phase timing", `Quick, test_span_records);
     ("span without a registry reads no clock", `Quick, test_span_off_reads_no_clock);
   ]
@@ -855,50 +831,3 @@ let suite =
   @ [ ("json writers match printf on edges and ties", `Quick, test_writer_edges) ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_fixed3_bits; prop_fixed3_scaled; prop_fixed3_ties; prop_add_int; prop_add_hex64 ]
-
-(* ---- gauges -------------------------------------------------------------- *)
-
-(* last-write-wins cell semantics plus the merge and render contracts the
-   fidelity layer's drift gauges rely on *)
-let gauge_value_gen =
-  (* exactly-representable floats so set/read/merge equality is meaningful *)
-  QCheck.Gen.(map2 (fun m e -> ldexp (float_of_int m) e) (int_range (-4096) 4096) (int_range (-8) 8))
-
-let prop_gauge_roundtrip =
-  QCheck.Test.make ~name:"gauge set/read/merge round-trips" ~count:200
-    (QCheck.make QCheck.Gen.(pair gauge_value_gen gauge_value_gen))
-    (fun (v1, v2) ->
-      let r1 = Metrics.create () and r2 = Metrics.create () in
-      let g1 = Metrics.gauge r1 ~labels:[ ("app", "x") ] "fidelity.drift" in
-      Metrics.set_gauge g1 v1;
-      (* re-registration returns the same cell *)
-      let g1' = Metrics.gauge r1 ~labels:[ ("app", "x") ] "fidelity.drift" in
-      Metrics.set_gauge g1' v1;
-      let g2 = Metrics.gauge r2 ~labels:[ ("app", "x") ] "fidelity.drift" in
-      Metrics.set_gauge g2 v2;
-      Metrics.gauge_value g1 = v1
-      && Metrics.find r1 ~labels:[ ("app", "x") ] "fidelity.drift" = Some (Metrics.Gauge v1)
-      && (* merge takes the max, in either order *)
-      Metrics.find (Metrics.merge r1 r2) ~labels:[ ("app", "x") ] "fidelity.drift"
-         = Some (Metrics.Gauge (Float.max v1 v2))
-      && Metrics.find (Metrics.merge r2 r1) ~labels:[ ("app", "x") ] "fidelity.drift"
-         = Some (Metrics.Gauge (Float.max v1 v2)))
-
-let test_gauge_render () =
-  let r = Metrics.create () in
-  Metrics.set_gauge (Metrics.gauge r ~labels:[ ("app", "toy") ] "fidelity.max_rel_drift") 0.5;
-  Metrics.set_gauge (Metrics.gauge r "plain") 3.;
-  let rendered = Format.asprintf "%a" Metrics.pp r in
-  let contains needle =
-    let n = String.length needle and h = String.length rendered in
-    let rec go i = i + n <= h && (String.sub rendered i n = needle || go (i + 1)) in
-    go 0
-  in
-  checkb "labeled gauge line" true
-    (contains "fidelity.max_rel_drift{app=toy} = 0.5");
-  checkb "unlabeled gauge line" true (contains "plain = 3")
-
-let suite =
-  suite
-  @ [ ("gauge render", `Quick, test_gauge_render) ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_gauge_roundtrip ]

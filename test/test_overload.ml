@@ -466,7 +466,7 @@ let check_golden path r =
     close_in ic;
     check_str "matches golden file" expected actual
 
-let golden_trace = Some { Tracer.default with Tracer.sample_rate = 64; breach_us = 2e6 }
+let golden_trace = Some { Tracer.sample_rate = 64; breach_us = 2e6 }
 
 (* controls off: several windows, a retrying fault plan and tracing on *)
 let test_controls_off_identity () =
@@ -514,6 +514,16 @@ let test_controls_on_perfetto_digest () =
   check_str "perfetto export md5" "7ed2349e8d351de1da029162e435574e"
     (Digest.to_hex (Digest.string json))
 
+let prop_breaker_parse_never_raises =
+  Spec_fuzz.total_on_bytes ~name:"Breaker.of_string is total on arbitrary bytes"
+    ~seeds:[ "open=0.1,close=0.02,cooldown=2,probe=0.2,node=0"; "open=0.5"; "cooldown=3,probe=1" ]
+    Breaker.of_string
+
+let prop_policy_parse_never_raises =
+  Spec_fuzz.total_on_bytes ~name:"Overload.policy_of_string is total on arbitrary bytes"
+    ~seeds:[ "fail-fast"; "priority"; "brownout" ]
+    Overload.policy_of_string
+
 let suite =
   [
     ("split exact", `Quick, test_split_exact);
@@ -533,4 +543,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_split_laws;
     QCheck_alcotest.to_alcotest prop_overload_jobs_equivalence;
     QCheck_alcotest.to_alcotest prop_served_cells_agree;
+    QCheck_alcotest.to_alcotest prop_breaker_parse_never_raises;
+    QCheck_alcotest.to_alcotest prop_policy_parse_never_raises;
   ]

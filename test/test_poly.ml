@@ -27,23 +27,6 @@ let test_affine_identity () =
     (Invalid_argument "Affine.make: offset dimension mismatch") (fun () ->
       ignore (Affine.make (Imat.identity 2) [| 0 |]))
 
-(* ---- Hyperplane ------------------------------------------------------ *)
-
-let test_hyperplane () =
-  let h = Hyperplane.make [| 2; 4 |] 6 in
-  checkb "normalized normal" true (Ivec.equal h.Hyperplane.normal [| 1; 2 |]);
-  check "normalized constant" 3 h.Hyperplane.constant;
-  checkb "contains" true (Hyperplane.contains h [| 1; 1 |]);
-  checkb "not contains" false (Hyperplane.contains h [| 0; 0 |]);
-  let axis = Hyperplane.axis 3 1 in
-  checkb "axis normal" true (Ivec.equal axis.Hyperplane.normal [| 0; 1; 0 |]);
-  checkb "same family" true
-    (Hyperplane.same_family h (Hyperplane.make [| 3; 6 |] 1));
-  let m = Hyperplane.member_through [| 1; 2 |] [| 5; 1 |] in
-  check "member constant" 7 m.Hyperplane.constant;
-  Alcotest.check_raises "zero normal" (Invalid_argument "Hyperplane.make: zero normal")
-    (fun () -> ignore (Hyperplane.make [| 0; 0 |] 1))
-
 (* ---- Iter_space ------------------------------------------------------ *)
 
 let test_iter_space () =
@@ -268,7 +251,6 @@ let suite =
     ("affine apply", `Quick, test_affine_apply);
     ("affine compose", `Quick, test_affine_compose);
     ("affine identity", `Quick, test_affine_identity);
-    ("hyperplane", `Quick, test_hyperplane);
     ("iter space basics", `Quick, test_iter_space);
     ("iter space enumeration", `Quick, test_iter_space_iter);
     ("iter space slices", `Quick, test_iter_slice);

@@ -108,7 +108,7 @@ let test_flat_lru_validation () =
   checkb "reference leaves fast none" true
     ((Lru.reference ~capacity:4).Policy.fast = None);
   checkb "mq leaves fast none" true ((Mq.create ~capacity:4).Policy.fast = None);
-  checkb "fifo leaves fast none" true ((Fifo.create ~capacity:4).Policy.fast = None)
+  checkb "clock leaves fast none" true ((Clock.create ~capacity:4).Policy.fast = None)
 
 (* ---- hierarchy: fast path = generic path over random access strings ----- *)
 

@@ -108,22 +108,6 @@ let test_lru_insert_cold () =
   (* 2 sits at the LRU end despite being inserted last *)
   checkb "cold is first victim" true (c.Policy.insert (b 3) = Some (b 2))
 
-let test_fifo_ignores_recency () =
-  let c = Fifo.create ~capacity:2 in
-  ignore (c.Policy.insert (b 1));
-  ignore (c.Policy.insert (b 2));
-  ignore (c.Policy.touch (b 1));
-  checkb "evicts insertion order" true (c.Policy.insert (b 3) = Some (b 1))
-
-let test_fifo_remove_stale_queue () =
-  let c = Fifo.create ~capacity:2 in
-  ignore (c.Policy.insert (b 1));
-  ignore (c.Policy.insert (b 2));
-  ignore (c.Policy.remove (b 1));
-  ignore (c.Policy.insert (b 3));
-  (* 1's stale queue entry must be skipped: victim is 2 *)
-  checkb "skips removed" true (c.Policy.insert (b 4) = Some (b 2))
-
 let test_clock_second_chance () =
   let c = Clock.create ~capacity:2 in
   ignore (c.Policy.insert (b 1));
@@ -401,7 +385,7 @@ let prop_lru_matches_model =
         ops)
 
 let prop_caches_never_exceed_capacity =
-  let factories = [ ("lru", Lru.create); ("fifo", Fifo.create); ("clock", Clock.create); ("mq", Mq.create) ] in
+  let factories = [ ("lru", Lru.create); ("clock", Clock.create); ("mq", Mq.create) ] in
   let ops = QCheck.list_of_size (QCheck.Gen.int_range 1 100) (QCheck.int_range 0 30) in
   QCheck.Test.make ~name:"no policy exceeds capacity" ~count:50 ops (fun keys ->
       List.for_all
@@ -421,13 +405,10 @@ let suite =
     ("stats counters", `Quick, test_stats);
     ("dll operations", `Quick, test_dll);
     policy_conformance "lru" Lru.create;
-    policy_conformance "fifo" Fifo.create;
     policy_conformance "clock" Clock.create;
     policy_conformance "mq" Mq.create;
     ("lru eviction order", `Quick, test_lru_order);
     ("lru cold insertion", `Quick, test_lru_insert_cold);
-    ("fifo ignores recency", `Quick, test_fifo_ignores_recency);
-    ("fifo stale queue entries", `Quick, test_fifo_remove_stale_queue);
     ("clock second chance", `Quick, test_clock_second_chance);
     ("mq frequency protection", `Quick, test_mq_frequency_protection);
     ("mq history buffer", `Quick, test_mq_history);

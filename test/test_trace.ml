@@ -33,7 +33,7 @@ let traced_params ?(sample_rate = 4) ?(breach_us = 1e6) ?(faults = storm_plan)
     sample = 1;
     windows = 4;
     faults;
-    trace = Some { Tracer.default with Tracer.sample_rate; breach_us };
+    trace = Some { Tracer.sample_rate; breach_us };
   }
 
 let simulate ?(jobs = 1) params =

@@ -411,23 +411,12 @@ let test_validate_rejects_bad_params () =
     ];
   checkb "defaults valid" true (Result.is_ok (Engine.validate toy_params))
 
-let test_metrics_counters_recorded () =
-  let registry = Flo_obs.Metrics.create () in
-  let r =
-    Engine.simulate ~jobs:test_jobs ~metrics:registry ~config:small_config
-      toy_params
-  in
+let test_tenant_requests_sum_to_total () =
+  let r = Engine.simulate ~jobs:test_jobs ~config:small_config toy_params in
   let total =
-    List.fold_left
-      (fun acc (name, _, v) ->
-        match v with
-        | Flo_obs.Metrics.Counter c when name = "traffic.requests" -> acc + c
-        | _ -> acc)
-      0
-      (Flo_obs.Metrics.to_list registry)
+    Array.fold_left (fun acc s -> acc + s.Engine.requests) 0 r.Engine.tenants_stats
   in
-  check_int "per-tenant request counters sum to the total" r.Engine.total_requests
-    total
+  check_int "per-tenant requests sum to the total" r.Engine.total_requests total
 
 (* ---- SLO over the engine ----------------------------------------------- *)
 
@@ -564,7 +553,7 @@ let suite =
     ("kernel profiles pinned (16-app suite)", `Slow, test_kernel_profiles_pinned);
     ("degenerate reports render", `Quick, test_degenerate_reports_render);
     ("params validation", `Quick, test_validate_rejects_bad_params);
-    ("metrics counters recorded", `Quick, test_metrics_counters_recorded);
+    ("per-tenant requests sum to the total", `Quick, test_tenant_requests_sum_to_total);
     ("slo report jobs-invariant", `Quick, test_slo_windows_jobs_equivalent);
     ("slo storm burns default cohort more", `Quick,
      test_slo_storm_burns_default_cohort_more);
