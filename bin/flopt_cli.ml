@@ -1,9 +1,10 @@
 (* flopt: command-line driver for the file-layout optimization framework.
    `flopt --help` lists the subcommands, from the inspection commands (apps,
-   plan, layout, trace-csv, topology) and single runs (run, bench, analyze,
+   plan, layout, trace-csv, topology) and single runs (run, analyze,
    fidelity, drift, chaos) to the traffic engine (traffic, slo, overload,
-   trace), the bench manifests (bench-diff) and the paper's evaluation
-   (reproduce); `flopt SUBCOMMAND --help` documents each one's options. *)
+   trace), the bench manifests (bench json, history and diff) and the
+   paper's evaluation (reproduce); `flopt SUBCOMMAND --help` documents each
+   one's options. *)
 
 open Cmdliner
 open Flo_engine
@@ -64,7 +65,7 @@ let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
            ~doc:"Collect and print per-node cache breakdowns, request-latency \
-                 percentiles and optimizer phase timings.")
+                 percentiles, phase timings and per-node disk service times.")
 
 let config = Config.default
 
@@ -95,7 +96,8 @@ let resolve_layout ?metrics ?scope mode app =
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for app/rep fan-out (default: \\$FLOPT_JOBS or \
+           ~doc:"Worker domains for the fan-out over apps, fault scales or \
+                 simulations (default: \\$FLOPT_JOBS or \
                  the machine's core count; 1 = the sequential reference \
                  path).  Results are identical for every value; a value \
                  above the core count gives the same output, only slower.")
@@ -115,12 +117,15 @@ let resolve_jobs = function
       exit 2)
 
 (* every file output but the --trace event stream goes through the one
-   atomic writer; an unwritable path is a usage error, not a crash *)
-let write_file path f =
-  try Flo_obs.Json.write_atomic path f
+   atomic writer, here or in a [save] built on it; an unwritable path is a
+   usage error, not a crash *)
+let save_file path save =
+  try save path
   with Sys_error msg ->
     Printf.eprintf "flopt: cannot write %s: %s\n" path msg;
     exit 2
+
+let write_file path f = save_file path (fun path -> Flo_obs.Json.write_atomic path f)
 
 (* an input path that cannot be read (a directory, a permission error) is
    a usage error, not a crash; Sys_error's own "PATH: " prefix is dropped
@@ -164,18 +169,28 @@ let print_metrics registry (result : Run.result) =
   (match Flo_obs.Metrics.find_histogram registry "request_latency_us" with
   | Some h -> Report.print_latency ~title:"request latency (modeled)" h
   | None -> ());
-  (* span rows: gather first so the name column fits the widest span name
-     instead of truncating past a fixed 28 columns *)
-  let spans =
-    List.filter_map
-      (fun (name, _labels, h) ->
-        if String.starts_with ~prefix:"span." name then
-          Some (name, Report.latency_summary h)
-        else None)
-      (Flo_obs.Metrics.to_list registry)
+  (* the span rows, then one disk row per storage node; each block's name
+     column fits its widest name instead of truncating past a fixed width *)
+  let print_rows rows =
+    let width = List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 rows in
+    List.iter (fun (name, cell) -> Printf.printf "%-*s %s\n" width name cell) rows
   in
-  let width = List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 spans in
-  List.iter (fun (name, cell) -> Printf.printf "%-*s %s\n" width name cell) spans
+  let histograms = Flo_obs.Metrics.to_list registry in
+  print_rows
+    (List.filter_map
+       (fun (name, _labels, h) ->
+         if String.starts_with ~prefix:"span." name then
+           Some (name, Report.latency_summary h)
+         else None)
+       histograms);
+  print_rows
+    (List.filter_map
+       (fun (name, labels, h) ->
+         if name = "disk_service_us" then
+           let node = Option.value (List.assoc_opt "node" labels) ~default:"?" in
+           Some (Printf.sprintf "disk_service_us{node=%s}" node, Report.latency_summary h)
+         else None)
+       histograms)
 
 let apps_cmd =
   let doc = "List the 16-application evaluation suite." in
@@ -209,12 +224,21 @@ let plan_cmd =
 
 let run_cmd =
   let doc = "Simulate one execution of an application." in
-  let run app layout_mode caching scope seed trace metrics =
+  let readahead_arg =
+    Arg.(value & opt int 0
+         & info [ "readahead" ] ~docv:"K"
+             ~doc:"Storage-node sequential prefetch depth per disk read.")
+  in
+  let run app layout_mode caching scope seed readahead trace metrics =
+    if readahead < 0 then begin
+      prerr_endline "flopt: run: --readahead must be non-negative";
+      exit 2
+    end;
     let mapping = if seed = 0 then None else Some (Experiment.random_mapping ~seed config) in
     let result, registry =
       observed_run ~trace ~metrics (fun ?sink ?metrics () ->
           let r = resolve_layout ?metrics ~scope layout_mode app in
-          Run.run ?mapping ~caching ?assigns:r.assigns ?sink ?metrics ~config
+          Run.run ?mapping ~caching ?assigns:r.assigns ~readahead ?sink ?metrics ~config
             ~layouts:r.layouts app)
     in
     Format.printf "%a@." Run.pp_result result;
@@ -226,90 +250,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ app_arg $ layout_arg $ caching_arg $ scope_arg $ mapping_arg
-          $ trace_arg $ metrics_arg)
-
-let bench_cmd =
-  let doc =
-    "Run an application repeatedly and report request-latency percentiles \
-     (p50/p90/p99) from the observability histograms."
-  in
-  let reps_arg =
-    Arg.(value & opt int 3
-         & info [ "reps" ] ~docv:"N" ~doc:"Number of repetitions to accumulate.")
-  in
-  let readahead_arg =
-    Arg.(value & opt int 0
-         & info [ "readahead" ] ~docv:"K"
-             ~doc:"Storage-node sequential prefetch depth per disk read.")
-  in
-  let run app layout_mode caching reps readahead jobs =
-    if reps <= 0 then begin
-      prerr_endline "flopt: bench: --reps must be positive";
-      exit 2
-    end;
-    if readahead < 0 then begin
-      prerr_endline "flopt: bench: --readahead must be non-negative";
-      exit 2
-    end;
-    let jobs = resolve_jobs jobs in
-    let { layouts; assigns } = resolve_layout layout_mode app in
-    let registry, results =
-      if jobs <= 1 then begin
-        (* the sequential reference: one registry accumulated across reps *)
-        let registry = Flo_obs.Metrics.create () in
-        let rs =
-          Array.init reps (fun _ ->
-              Run.run ~caching ?assigns ~readahead ~metrics:registry ~config ~layouts app)
-        in
-        (registry, rs)
-      end
-      else begin
-        (* each rep simulates into its own registry on the domain pool;
-           merging in rep order keeps the report deterministic *)
-        let pairs =
-          Parallel.map ~jobs
-            (fun _rep ->
-              let registry = Flo_obs.Metrics.create () in
-              let r =
-                Run.run ~caching ?assigns ~readahead ~metrics:registry ~config ~layouts app
-              in
-              (registry, r))
-            (Array.init reps Fun.id)
-        in
-        let merged =
-          Array.fold_left
-            (fun acc (reg, _) -> Flo_obs.Metrics.merge acc reg)
-            (Flo_obs.Metrics.create ()) pairs
-        in
-        (merged, Array.map snd pairs)
-      end
-    in
-    let elapsed = Array.to_list (Array.map (fun r -> r.Run.elapsed_us) results) in
-    let last = Some results.(Array.length results - 1) in
-    Printf.printf "%s: %d rep(s), modeled time %s ms (mean)\n\n" app.App.name reps
-      (Report.ms (Report.mean elapsed));
-    Option.iter (print_metrics registry) last;
-    let disk_rows =
-      List.filter_map
-        (fun (name, labels, h) ->
-          if name = "disk_service_us" then
-            let node = try List.assoc "node" labels with Not_found -> "?" in
-            Some
-              (Printf.sprintf "disk_service_us{node=%s}" node,
-               Report.latency_summary h)
-          else None)
-        (Flo_obs.Metrics.to_list registry)
-    in
-    let width =
-      List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 disk_rows
-    in
-    List.iter
-      (fun (label, cell) -> Printf.printf "%-*s %s\n" width label cell)
-      disk_rows
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ app_arg $ layout_arg $ caching_arg $ reps_arg $ readahead_arg
-          $ jobs_arg)
+          $ readahead_arg $ trace_arg $ metrics_arg)
 
 let analyze_cmd =
   let doc =
@@ -547,100 +488,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ file_pos $ tenant_arg $ app_filter_arg $ outcome_arg
           $ min_lat_arg $ id_arg $ max_arg $ perfetto_arg)
-
-let bench_diff_cmd =
-  let doc =
-    "Compare two flopt-bench JSON manifests (written by $(b,bench -- json \
-     --out FILE)) metric by metric.  Gated metrics are deterministic modeled \
-     quantities — higher is worse; with $(b,--fail-on-regress) the exit \
-     status is 1 when any gated metric grew by more than the given percent \
-     or is missing from the new manifest."
-  in
-  let old_pos =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"OLD" ~doc:"Baseline manifest.")
-  in
-  let new_pos =
-    Arg.(required & pos 1 (some file) None
-         & info [] ~docv:"NEW" ~doc:"Candidate manifest.")
-  in
-  let fail_arg =
-    Arg.(value & opt (some float) None
-         & info [ "fail-on-regress" ] ~docv:"PCT"
-             ~doc:"Exit 1 when a gated metric regressed by more than $(docv) \
-                   percent or disappeared.")
-  in
-  let pp_delta c =
-    if c.Bench_schema.delta_pct = infinity then "+inf"
-    else Printf.sprintf "%+.1f" c.Bench_schema.delta_pct
-  in
-  let run old_path new_path fail_on_regress =
-    let load path =
-      match Bench_schema.load path with
-      | Ok m -> m
-      | Error msg ->
-        Printf.eprintf "flopt: bench-diff: %s\n" msg;
-        exit 2
-    in
-    let old_ = load old_path and new_ = load new_path in
-    let d = Bench_schema.diff ~old_ ~new_ in
-    let threshold = Option.value fail_on_regress ~default:0. in
-    let regressed = Bench_schema.regressions ~threshold d in
-    let missing = Bench_schema.missing_gated d in
-    let rows =
-      List.filter_map
-        (fun (c : Bench_schema.change) ->
-          if not c.Bench_schema.c_gated then None
-          else
-            Some
-              [
-                c.Bench_schema.c_app;
-                c.Bench_schema.c_name;
-                Printf.sprintf "%.4g" c.Bench_schema.old_value;
-                Printf.sprintf "%.4g" c.Bench_schema.new_value;
-                pp_delta c ^ "%";
-                (if List.memq c regressed then "REGRESSED"
-                 else if c.Bench_schema.delta_pct < 0. then "improved"
-                 else "ok");
-              ])
-        d.Bench_schema.changes
-    in
-    Report.print_table ~title:"gated metrics (deterministic; higher is worse)"
-      ~header:[ "app"; "metric"; "old"; "new"; "change"; "flag" ]
-      rows;
-    let ungated =
-      List.filter (fun c -> not c.Bench_schema.c_gated) d.Bench_schema.changes
-    in
-    if ungated <> [] then
-      Report.print_table ~title:"ungated metrics (trajectory data; informational)"
-        ~header:[ "app"; "metric"; "old"; "new"; "change" ]
-        (List.map
-           (fun (c : Bench_schema.change) ->
-             [
-               c.Bench_schema.c_app;
-               c.Bench_schema.c_name;
-               Printf.sprintf "%.4g" c.Bench_schema.old_value;
-               Printf.sprintf "%.4g" c.Bench_schema.new_value;
-               pp_delta c ^ "%";
-             ])
-           ungated);
-    List.iter
-      (fun (m : Bench_schema.metric) ->
-        Printf.printf "added:   %s/%s\n" m.Bench_schema.app m.Bench_schema.name)
-      d.Bench_schema.added;
-    List.iter
-      (fun (m : Bench_schema.metric) ->
-        Printf.printf "removed: %s/%s%s\n" m.Bench_schema.app m.Bench_schema.name
-          (if m.Bench_schema.gated then " (gated: REGRESSED)" else ""))
-      d.Bench_schema.removed;
-    Printf.printf "%d gated regression(s) beyond %.1f%%, %d improvement(s)\n"
-      (List.length regressed + List.length missing)
-      threshold
-      (List.length (Bench_schema.improvements d));
-    if fail_on_regress <> None && (regressed <> [] || missing <> []) then exit 1
-  in
-  Cmd.v (Cmd.info "bench-diff" ~doc)
-    Term.(const run $ old_pos $ new_pos $ fail_arg)
 
 let fidelity_cmd =
   let doc =
@@ -1457,6 +1304,350 @@ let drift_cmd =
     Term.(const run $ suite_app_arg $ mapping_arg $ shifted_arg $ windows_arg
           $ sample_arg $ enter_arg $ exit_arg $ streak_arg $ jobs_arg)
 
+(* `flopt bench json|history|diff`: the deterministic bench manifest, the
+   per-commit trend page over manifests, and the gate between two of them.
+   Nothing here reads a clock; wall-clock timing is bench/perf's. *)
+
+let bench_json_cmd =
+  let doc =
+    "Record this build's modeled numbers as a flopt-bench JSON manifest: \
+     per-app gated metrics (modeled time, per-layer miss rates, L2 sharing, \
+     reuse medians, fidelity drift for the default and inter layouts) plus \
+     ungated traffic, SLO, tracing and overload numbers.  The manifest is \
+     byte-identical across runs and $(b,--jobs) values; above $(b,--jobs 1) \
+     the gated metrics are re-collected at $(b,--jobs 1) and any difference \
+     exits 1.  Compare manifests with $(b,flopt bench diff)."
+  in
+  let out_arg =
+    Arg.(required & opt (some string) None
+         & info [ "out" ] ~docv:"FILE" ~doc:"Write the manifest to $(docv).")
+  in
+  let apps_arg =
+    Arg.(value & opt string "suite"
+         & info [ "apps" ] ~docv:"A,B,..."
+             ~doc:"Comma-separated applications to collect, or $(b,suite) for \
+                   the whole 16-application suite.")
+  in
+  let sample_arg =
+    Arg.(value & opt int 1
+         & info [ "sample" ] ~docv:"N" ~doc:"Profile-mode sampling factor.")
+  in
+  let run out apps sample jobs =
+    if sample < 1 then begin
+      prerr_endline "flopt: bench json: --sample must be positive";
+      exit 2
+    end;
+    let jobs = resolve_jobs jobs in
+    let selected = Traffic_args.parse_mix ~cmd:"bench json" apps in
+    (* a manifest holds one value per (app, metric) *)
+    let rec first_repeat = function
+      | [] -> None
+      | a :: rest ->
+        if List.exists (fun b -> b.App.name = a.App.name) rest then Some a.App.name
+        else first_repeat rest
+    in
+    Option.iter
+      (fun name ->
+        Printf.eprintf "flopt: bench json: --apps names %S twice\n" name;
+        exit 2)
+      (first_repeat selected);
+    let collect jobs =
+      Bench_json.collect ~jobs ~sample
+        ~progress:(fun name -> Printf.eprintf "bench json: %s...\n%!" name)
+        ~config selected
+    in
+    let manifest = collect jobs in
+    if jobs > 1 then begin
+      prerr_endline "bench json: re-collecting at --jobs 1 (determinism check)...";
+      if collect 1 <> manifest then begin
+        Printf.eprintf
+          "flopt: bench json: gated metrics differ between --jobs %d and --jobs 1\n" jobs;
+        exit 1
+      end;
+      prerr_endline "bench json: gated metrics identical across jobs settings"
+    end;
+    let ungated app metrics =
+      List.map
+        (fun (name, value, unit_) -> { Bench_schema.app; name; value; unit_; gated = false })
+        metrics
+    in
+    let traffic_params =
+      (* 8 windows so the ride-along SLO metrics see real multi-window
+         behavior instead of the degenerate single-window verdict *)
+      { (Flo_traffic.Engine.default_params ~mix:selected) with
+        Flo_traffic.Engine.sample; windows = 8 }
+    in
+    prerr_endline "bench json: traffic engine...";
+    let traffic = Flo_traffic.Engine.simulate ~jobs ~config traffic_params in
+    let traffic_metrics =
+      ungated "_traffic"
+        [
+          ( "modeled_requests",
+            float_of_int traffic.Flo_traffic.Engine.total_requests, "req" );
+        ]
+    in
+    let slo_metrics =
+      (* fleet SLO health of the same run: trajectory data (it moves
+         whenever the modeled engine is meant to improve).  The threshold
+         sits inside the run's spread of window p99s, so burn rate and
+         compliance are neither pinned at their worst nor at their best *)
+      let spec = Result.get_ok (Flo_obs.Slo.parse "p99<1200ms@99") in
+      let e = Flo_traffic.Slo_eval.evaluate spec traffic in
+      let v = e.Flo_traffic.Slo_eval.fleet.Flo_traffic.Slo_eval.verdict in
+      ungated "_slo"
+        [
+          ("fleet_burn_rate", v.Flo_obs.Slo.burn_rate, "x");
+          ("fleet_budget_remaining", v.Flo_obs.Slo.budget_remaining, "frac");
+          ("fleet_compliance", v.Flo_obs.Slo.compliance, "frac");
+        ]
+    in
+    let trace_metrics =
+      (* sampled tracing: re-run the same traffic params with tracing on and
+         report what the sampler kept.  The modeled numbers of the traced
+         run must be byte-identical to the untraced run above — tracing
+         only ever adds exemplars, never counts — so the verdict lines are
+         compared here and any divergence aborts the bench. *)
+      prerr_endline "bench json: traffic engine (traced)...";
+      let params =
+        { traffic_params with
+          Flo_traffic.Engine.trace =
+            Some { Flo_traffic.Tracer.default with Flo_traffic.Tracer.sample_rate = 4096 } }
+      in
+      let traced = Flo_traffic.Engine.simulate ~jobs ~config params in
+      let untraced_line = Flo_traffic.Traffic_report.verdict_line traffic in
+      let traced_line = Flo_traffic.Traffic_report.verdict_line traced in
+      if untraced_line <> traced_line then begin
+        Printf.eprintf
+          "flopt: bench json: tracing changed modeled numbers:\n  off: %s\n  on:  %s\n"
+          untraced_line traced_line;
+        exit 2
+      end;
+      prerr_endline "bench json: traced modeled numbers identical to untraced";
+      let traces = traced.Flo_traffic.Engine.traces in
+      let sum f = List.fold_left (fun a t -> a + f t) 0 traces in
+      ungated "_trace"
+        [
+          ("sampled_traces", float_of_int (List.length traces), "trace");
+          ("sampled_requests", float_of_int (sum (fun t -> t.Flo_obs.Trace.count)), "req");
+          ("sampled_spans", float_of_int (sum Flo_obs.Trace.span_count), "span");
+        ]
+    in
+    let overload_metrics =
+      (* overload control: a pinned read-error storm at ~8x offered load
+         with fail-fast shedding on.  Goodput and the accepted cohort's p99
+         are the headline graceful-degradation trajectory; the shed
+         fraction gives them scale.  Long windows relative to the job
+         quantum (15 modeled s vs ~1.5 modeled s per job at sample 1024),
+         so the admission controller works at whole-job granularity without
+         the quantum dominating. *)
+      prerr_endline "bench json: overload control...";
+      let params =
+        { (Flo_traffic.Engine.default_params ~mix:selected) with
+          Flo_traffic.Engine.tenants = 16; duration_s = 60.; rate = 2.64;
+          windows = 4; sample = 1024;
+          faults = Result.get_ok (Flo_faults.Fault_plan.of_string "read-error:rate=0.05");
+          overload = Some Flo_traffic.Overload.default }
+      in
+      let result = Flo_traffic.Engine.simulate ~jobs ~config params in
+      let ol = Option.get result.Flo_traffic.Engine.overload in
+      ungated "_overload"
+        [
+          ("goodput_rps", ol.Flo_traffic.Engine.ol_goodput_rps, "req/s");
+          ("shed_fraction", ol.Flo_traffic.Engine.ol_shed_fraction, "frac");
+          ("p99_accepted_us", result.Flo_traffic.Engine.agg_p99_us, "us");
+        ]
+    in
+    let manifest =
+      { manifest with
+        Bench_schema.metrics =
+          manifest.Bench_schema.metrics @ traffic_metrics @ slo_metrics @ trace_metrics
+          @ overload_metrics }
+    in
+    (match Bench_schema.validate manifest with
+    | Ok () -> ()
+    | Error msg ->
+      Printf.eprintf "flopt: bench json: internal error: invalid manifest: %s\n" msg;
+      exit 2);
+    save_file out (fun path -> Bench_schema.save path manifest);
+    Printf.printf "wrote %s (%d metrics over %d apps, schema %s v%d)\n" out
+      (List.length manifest.Bench_schema.metrics)
+      (List.length manifest.Bench_schema.apps)
+      Bench_schema.schema_name Bench_schema.schema_version
+  in
+  Cmd.v (Cmd.info "json" ~doc) Term.(const run $ out_arg $ apps_arg $ sample_arg $ jobs_arg)
+
+let bench_history_cmd =
+  let doc =
+    "Distill a manifest into trend points, record them as the row for a \
+     commit in an append-only history, and regenerate the self-contained \
+     HTML/SVG trend page.  Re-recording a commit replaces its row in place, \
+     so the same commit and manifest leave history and page byte-identical."
+  in
+  let required_opt name docv doc =
+    Arg.(required & opt (some string) None & info [ name ] ~docv ~doc)
+  in
+  let out_arg = required_opt "out" "FILE" "History file (created if absent)." in
+  let commit_arg =
+    required_opt "commit" "ID" "Commit id: 1-64 characters of [A-Za-z0-9._-]."
+  in
+  let manifest_arg =
+    required_opt "manifest" "MANIFEST" "Manifest written by $(b,flopt bench json)."
+  in
+  let page_arg =
+    Arg.(value & opt (some string) None
+         & info [ "page" ] ~docv:"P"
+             ~doc:"Trend page to write (default: $(b,--out) with .json replaced \
+                   by .html).")
+  in
+  let run out commit manifest_path page =
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "flopt: bench history: %s\n" msg;
+          exit 2)
+        fmt
+    in
+    if not (Bench_history.valid_commit commit) then
+      fail "bad --commit %S (want 1-64 chars of [A-Za-z0-9._-])" commit;
+    let page =
+      Option.value page
+        ~default:
+          ((if Filename.check_suffix out ".json" then Filename.chop_suffix out ".json"
+            else out)
+          ^ ".html")
+    in
+    let manifest =
+      match Bench_schema.load manifest_path with
+      | Ok m -> m
+      | Error msg -> fail "cannot load manifest: %s" msg
+    in
+    let points = Bench_history.metrics_of_manifest manifest in
+    if points = [] then fail "manifest %s yields no trend points" manifest_path;
+    let history =
+      if not (Sys.file_exists out) then Bench_history.empty
+      else
+        match Bench_history.load out with
+        | Ok h -> h
+        | Error msg -> fail "corrupt history: %s" msg
+    in
+    let history =
+      match Bench_history.upsert history ~commit points with
+      | Ok h -> h
+      | Error msg -> fail "%s" msg
+    in
+    (* the page first: an unwritable --page must not leave a recorded row
+       behind (the page is regenerated from the history on every record) *)
+    write_file page (fun oc -> output_string oc (Bench_history.render_page history));
+    save_file out (fun path -> Bench_history.save path history);
+    Printf.printf "recorded commit %s (%d points) -> %s (%d rows), trend page %s\n"
+      commit (List.length points) out
+      (List.length history.Bench_history.rows)
+      page
+  in
+  Cmd.v (Cmd.info "history" ~doc)
+    Term.(const run $ out_arg $ commit_arg $ manifest_arg $ page_arg)
+
+let bench_diff_cmd =
+  let doc =
+    "Compare two flopt-bench JSON manifests (written by $(b,flopt bench \
+     json)) metric by metric.  Gated metrics are deterministic modeled \
+     quantities — higher is worse; with $(b,--fail-on-regress) the exit \
+     status is 1 when any gated metric grew by more than the given percent \
+     or is missing from the new manifest."
+  in
+  let old_pos =
+    Arg.(required & pos 0 (some file) None
+         & info [] ~docv:"OLD" ~doc:"Baseline manifest.")
+  in
+  let new_pos =
+    Arg.(required & pos 1 (some file) None
+         & info [] ~docv:"NEW" ~doc:"Candidate manifest.")
+  in
+  let fail_arg =
+    Arg.(value & opt (some float) None
+         & info [ "fail-on-regress" ] ~docv:"PCT"
+             ~doc:"Exit 1 when a gated metric regressed by more than $(docv) \
+                   percent or disappeared.")
+  in
+  let pp_delta c =
+    if c.Bench_schema.delta_pct = infinity then "+inf"
+    else Printf.sprintf "%+.1f" c.Bench_schema.delta_pct
+  in
+  let run old_path new_path fail_on_regress =
+    let load path =
+      match Bench_schema.load path with
+      | Ok m -> m
+      | Error msg ->
+        Printf.eprintf "flopt: bench diff: %s\n" msg;
+        exit 2
+    in
+    let old_ = load old_path and new_ = load new_path in
+    let d = Bench_schema.diff ~old_ ~new_ in
+    let threshold = Option.value fail_on_regress ~default:0. in
+    let regressed = Bench_schema.regressions ~threshold d in
+    let missing = Bench_schema.missing_gated d in
+    let rows =
+      List.filter_map
+        (fun (c : Bench_schema.change) ->
+          if not c.Bench_schema.c_gated then None
+          else
+            Some
+              [
+                c.Bench_schema.c_app;
+                c.Bench_schema.c_name;
+                Printf.sprintf "%.4g" c.Bench_schema.old_value;
+                Printf.sprintf "%.4g" c.Bench_schema.new_value;
+                pp_delta c ^ "%";
+                (if List.memq c regressed then "REGRESSED"
+                 else if c.Bench_schema.delta_pct < 0. then "improved"
+                 else "ok");
+              ])
+        d.Bench_schema.changes
+    in
+    Report.print_table ~title:"gated metrics (deterministic; higher is worse)"
+      ~header:[ "app"; "metric"; "old"; "new"; "change"; "flag" ]
+      rows;
+    let ungated =
+      List.filter (fun c -> not c.Bench_schema.c_gated) d.Bench_schema.changes
+    in
+    if ungated <> [] then
+      Report.print_table ~title:"ungated metrics (trajectory data; informational)"
+        ~header:[ "app"; "metric"; "old"; "new"; "change" ]
+        (List.map
+           (fun (c : Bench_schema.change) ->
+             [
+               c.Bench_schema.c_app;
+               c.Bench_schema.c_name;
+               Printf.sprintf "%.4g" c.Bench_schema.old_value;
+               Printf.sprintf "%.4g" c.Bench_schema.new_value;
+               pp_delta c ^ "%";
+             ])
+           ungated);
+    List.iter
+      (fun (m : Bench_schema.metric) ->
+        Printf.printf "added:   %s/%s\n" m.Bench_schema.app m.Bench_schema.name)
+      d.Bench_schema.added;
+    List.iter
+      (fun (m : Bench_schema.metric) ->
+        Printf.printf "removed: %s/%s%s\n" m.Bench_schema.app m.Bench_schema.name
+          (if m.Bench_schema.gated then " (gated: REGRESSED)" else ""))
+      d.Bench_schema.removed;
+    Printf.printf "%d gated regression(s) beyond %.1f%%, %d improvement(s)\n"
+      (List.length regressed + List.length missing)
+      threshold
+      (List.length (Bench_schema.improvements d));
+    if fail_on_regress <> None && (regressed <> [] || missing <> []) then exit 1
+  in
+  Cmd.v (Cmd.info "diff" ~doc)
+    Term.(const run $ old_pos $ new_pos $ fail_arg)
+
+let bench_cmd =
+  let doc =
+    "The deterministic bench manifest: collect one ($(b,json)), record it in \
+     the per-commit trend history ($(b,history)), compare two ($(b,diff))."
+  in
+  Cmd.group (Cmd.info "bench" ~doc) [ bench_json_cmd; bench_history_cmd; bench_diff_cmd ]
+
 let reproduce_cmd =
   let doc =
     "Reproduce the paper's evaluation: each SECTION's table (all 18 if none is named), \
@@ -1496,6 +1687,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ apps_cmd; plan_cmd; run_cmd; bench_cmd; analyze_cmd; bench_diff_cmd;
-            chaos_cmd; fidelity_cmd; drift_cmd; layout_cmd; trace_csv_cmd;
-            trace_cmd; traffic_cmd; slo_cmd; overload_cmd; reproduce_cmd; topology_cmd ]))
+          [ apps_cmd; plan_cmd; run_cmd; analyze_cmd; bench_cmd; chaos_cmd;
+            fidelity_cmd; drift_cmd; layout_cmd; trace_csv_cmd; trace_cmd; traffic_cmd;
+            slo_cmd; overload_cmd; reproduce_cmd; topology_cmd ]))

@@ -101,7 +101,7 @@ let to_buffer buf events =
   let close_request thread r ~end_us =
     let seq = Option.value ~default:0 (Hashtbl.find_opt req_seq thread) in
     Hashtbl.replace req_seq thread (seq + 1);
-    let trace_id = Flo_obs.Trace.mint_id ~seed:0 ~stream:thread seq in
+    let trace_id = Flo_faults.Prng.at ~seed:0 ~stream:thread seq in
     let dur = Float.max (end_us -. r.start_us) 0.001 in
     event buf first;
     Buffer.add_string buf {|{"ph":"X","pid":1,"tid":|};

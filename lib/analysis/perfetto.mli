@@ -13,7 +13,7 @@ val json_of_events : Flo_obs.Event.t list -> string
     Events must be in trace (emission) order, as read from a JSONL file or
     a ring sink.  Request slices carry stable [trace_id]/[span_id] args —
     a pure function of the (thread, request-sequence) position via
-    {!Flo_obs.Trace.mint_id}, so repeated exports of the same trace are
+    {!Flo_faults.Prng.at}, so repeated exports of the same trace are
     byte-identical and cross-reference with [flopt trace] output. *)
 
 val write : out_channel -> Flo_obs.Event.t list -> unit

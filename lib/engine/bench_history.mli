@@ -2,8 +2,8 @@
     history of headline numbers, one row per commit, plus a self-contained
     static HTML/SVG trend page over it.
 
-    [bench -- history --out FILE --commit ID --manifest MANIFEST] distills
-    the manifest ({!Bench_schema}) into a handful of trend points,
+    [flopt bench history --out FILE --commit ID --manifest MANIFEST]
+    distills the manifest ({!Bench_schema}) into a handful of trend points,
     {!upsert}s them as the row for [ID], saves the history atomically, and
     regenerates the page.  Re-recording the same commit from the same
     manifest is idempotent — the row is replaced in place, so the history

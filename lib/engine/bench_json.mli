@@ -1,4 +1,5 @@
-(** Manifest collection for [bench -- json], parallel over applications.
+(** Manifest collection for [flopt bench json], parallel over
+    applications.
 
     Each application's metrics are computed by a self-contained task (own
     analyzer, fidelity join, layouts), fanned over {!Parallel.map_list} and

@@ -1,6 +1,6 @@
 (* Machine-readable benchmark trajectory: a versioned JSON manifest of the
-   numbers one `bench -- json` invocation produced, plus the diff/gating
-   logic `flopt bench-diff` applies between two manifests. *)
+   numbers one `flopt bench json` invocation produced, plus the diff/gating
+   logic `flopt bench diff` applies between two manifests. *)
 
 module Json = Flo_obs.Json
 

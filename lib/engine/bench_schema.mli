@@ -1,15 +1,15 @@
 (** Machine-readable benchmark trajectory.
 
-    [bench -- json --out FILE] writes one {e manifest}: a versioned JSON
+    [flopt bench json --out FILE] writes one {e manifest}: a versioned JSON
     document recording, per application, the headline numbers of that
     invocation — modeled execution times, per-layer miss rates, L2
     cross-thread sharing, reuse-distance medians and fidelity drift per
     application, plus traffic, SLO, tracing and overload numbers.
-    [flopt bench-diff OLD NEW] loads two manifests and reports per-metric
+    [flopt bench diff OLD NEW] loads two manifests and reports per-metric
     changes, optionally failing the process when a {e gated} metric
     regressed past a threshold or disappeared.
 
-    Gating convention: every metric [bench -- json] records is
+    Gating convention: every metric [flopt bench json] records is
     deterministic (a modeled quantity, identical on every machine and at
     every [--jobs] value).  The per-application ones are [gated], so a
     checked-in baseline stays comparable in CI; {b higher is worse} for
@@ -101,8 +101,8 @@ val regressions : ?threshold:float -> diff -> change list
     0).  Higher-is-worse: a positive delta is a regression. *)
 
 val missing_gated : diff -> metric list
-(** Gated metrics of the old manifest that the new one lacks.  bench-diff
-    counts each as a regression at every threshold; ungated removals are
-    informational. *)
+(** Gated metrics of the old manifest that the new one lacks.
+    [flopt bench diff] counts each as a regression at every threshold;
+    ungated removals are informational. *)
 
 val improvements : ?threshold:float -> diff -> change list

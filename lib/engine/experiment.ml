@@ -111,11 +111,12 @@ type chaos_point = {
    tasks and the sweep parallelizes over scales with identical results at
    every jobs setting. *)
 let chaos ?(scales = [ 0.; 0.5; 1.; 2. ]) ?caching ?scope ?jobs ~plan config app =
+  (* every scale is checked before the pass or any run starts *)
+  let scaled = List.map (fun s -> (s, Flo_faults.Fault_plan.scale plan s)) scales in
   let layouts_default = default_layouts app in
   let layouts_inter = inter_layouts ?scope config app in
   let storage_nodes = config.Config.topology.Topology.storage_nodes in
-  let point scale =
-    let p = Flo_faults.Fault_plan.scale plan scale in
+  let point (scale, p) =
     let run_under layouts =
       let inj = Flo_faults.Injector.create ~storage_nodes p in
       let r = Run.run ?caching ~faults:inj ~config ~layouts app in
@@ -125,7 +126,7 @@ let chaos ?(scales = [ 0.; 0.5; 1.; 2. ]) ?caching ?scope ?jobs ~plan config app
     let inter_r, inter_counts = run_under layouts_inter in
     { scale; plan = p; default_r; inter_r; default_counts; inter_counts }
   in
-  Parallel.map_list ?jobs point scales
+  Parallel.map_list ?jobs point scaled
 
 (* The fidelity loop: run with a live analyzer attached, recompute the
    compiler-side predictions under the same parallelization parameters (or

@@ -87,7 +87,8 @@ val chaos :
     injector compiled from the scaled plan, so points are independent and
     results are identical at every [jobs] setting; scale 0 is the
     fault-free reference (byte-identical to running without faults).
-    @raise Invalid_argument if the plan names a node outside the topology. *)
+    @raise Invalid_argument if a scale is NaN, infinite or negative (before
+    any run), or if the plan names a node outside the topology. *)
 
 val fidelity :
   ?tolerance:float ->

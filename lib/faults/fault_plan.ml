@@ -12,7 +12,10 @@ let is_empty t = t.specs = []
 let with_seed t seed = { t with seed }
 
 let scale t s =
-  if s <= 0. then { t with specs = [] }
+  if not (Float.is_finite s && s >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Fault_plan.scale: scale must be finite and non-negative (got %g)" s);
+  if s = 0. then { t with specs = [] }
   else
     let clamp r = Float.min 1. (r *. s) in
     let specs =

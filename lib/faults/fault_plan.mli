@@ -49,8 +49,10 @@ val scale : t -> float -> t
 (** [scale t s] sweeps fault intensity: rates are multiplied by [s] (clamped
     to [0, 1]), [Degraded] multipliers interpolate as [1 + (m-1)*s], and
     structural clauses ([cache-off], [failover]) are kept for [s > 0] and
-    dropped — along with everything else — at [s <= 0], so scale 0 is
-    exactly the fault-free reference point. *)
+    dropped — along with everything else — at [s = 0], so scale 0 is
+    exactly the fault-free reference point.
+    @raise Invalid_argument naming [s] if it is NaN, infinite or
+    negative. *)
 
 val of_string : string -> (t, string) result
 (** Parse the grammar above (seed is not part of the grammar — set it with

@@ -10,11 +10,13 @@ let mix z =
 
 let create ~seed = { state = mix (Int64.of_int seed) }
 
-let for_stream ~seed ~stream =
-  (* hash the seed, then offset by the stream id times an odd constant so
-     substreams of one seed start far apart in the counter sequence *)
-  let s0 = mix (Int64.of_int seed) in
-  { state = Int64.add s0 (Int64.mul (Int64.of_int (stream + 1)) 0xD1342543DE82EF95L) }
+(* hash the seed, then offset by the stream id times an odd constant so
+   substreams of one seed start far apart in the counter sequence *)
+let origin ~seed ~stream =
+  Int64.add (mix (Int64.of_int seed))
+    (Int64.mul (Int64.of_int (stream + 1)) 0xD1342543DE82EF95L)
+
+let for_stream ~seed ~stream = { state = origin ~seed ~stream }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden;
@@ -23,13 +25,11 @@ let next_int64 t =
 (* splitmix64 is a counter-mode generator: draw k of a stream whose state
    starts at s0 is mix (s0 + (k+1)*golden), so any draw is addressable in
    O(1) without advancing shared state — tracing mints ids this way *)
+let nth s0 k = mix (Int64.add s0 (Int64.mul (Int64.of_int (k + 1)) golden))
+
 let at ~seed ~stream k =
   if k < 0 then invalid_arg "Prng.at: negative index";
-  let s0 =
-    Int64.add (mix (Int64.of_int seed))
-      (Int64.mul (Int64.of_int (stream + 1)) 0xD1342543DE82EF95L)
-  in
-  mix (Int64.add s0 (Int64.mul (Int64.of_int (k + 1)) golden))
+  nth (origin ~seed ~stream) k
 
 let float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in

@@ -20,12 +20,17 @@ val for_stream : seed:int -> stream:int -> t
 val next_int64 : t -> int64
 (** The raw 64-bit splitmix64 output; advances the state. *)
 
+val nth : int64 -> int -> int64
+(** [nth s k] is the [k]-th output (from 0) of a generator whose state is
+    [s], without building one: {!at} is [nth] from a substream's starting
+    state, and [Trace.span_id] is [nth] from a trace id. *)
+
 val at : seed:int -> stream:int -> int -> int64
 (** [at ~seed ~stream k] is the [k]-th output of
     [for_stream ~seed ~stream] — random access into the counter sequence
     without allocating or advancing a generator, so independent shards can
-    address the same draw without sharing state.  Trace-id minting uses
-    this: ids are a pure function of (seed, stream, index).
+    address the same draw without sharing state.  Trace ids are minted this
+    way: a pure function of (seed, stream, index).
     @raise Invalid_argument if [k < 0]. *)
 
 val float : t -> float

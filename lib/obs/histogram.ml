@@ -214,13 +214,6 @@ let merge a b =
     ex_cap = cap;
   }
 
-let copy t =
-  {
-    t with
-    buckets = Array.copy t.buckets;
-    exemplars = Option.map Array.copy t.exemplars;
-  }
-
 let merge_list = function
   | [] -> create ()
   | h :: rest -> List.fold_left merge h rest

@@ -97,8 +97,6 @@ val merge : t -> t -> t
 val merge_list : t list -> t
 (** Fold of {!merge}; an empty default-shaped histogram for [[]]. *)
 
-val copy : t -> t
-
 val same_shape : t -> t -> bool
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit

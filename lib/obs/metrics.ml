@@ -18,15 +18,3 @@ let find_histogram t ?(labels = []) name = Hashtbl.find_opt t.tbl (key name labe
 let to_list t =
   Hashtbl.fold (fun (name, labels) h acc -> (name, labels, h) :: acc) t.tbl []
   |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2))
-
-let merge a b =
-  let m = create () in
-  Hashtbl.iter (fun key h -> Hashtbl.replace m.tbl key (Histogram.copy h)) a.tbl;
-  Hashtbl.iter
-    (fun key h ->
-      Hashtbl.replace m.tbl key
-        (match Hashtbl.find_opt m.tbl key with
-        | None -> Histogram.copy h
-        | Some prev -> Histogram.merge prev h))
-    b.tbl;
-  m

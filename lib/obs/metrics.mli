@@ -5,12 +5,7 @@
     is a different time series from the same name with [("node", "0")].
     Registration is idempotent — asking again for the same (name, labels)
     returns the same histogram, so hot paths can resolve handles once at
-    setup.
-
-    {!merge} combines registries from independent runs (or shards) by
-    merging histograms bucket-wise.  That is associative and commutative,
-    so merging is order-independent — the property [test/test_obs.ml]
-    checks. *)
+    setup. *)
 
 type t
 
@@ -27,7 +22,3 @@ val find_histogram : t -> ?labels:(string * string) list -> string -> Histogram.
 val to_list : t -> (string * (string * string) list * Histogram.t) list
 (** Live references, sorted by name, then labels — a stable order for
     reports and tests. *)
-
-val merge : t -> t -> t
-(** Fresh registry; inputs unchanged.
-    @raise Invalid_argument on histogram-shape conflicts. *)

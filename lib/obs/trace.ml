@@ -35,35 +35,12 @@ let span_count t =
   let rec go s = List.fold_left (fun acc c -> acc + go c) 1 s.children in
   go t.root
 
-(* Deterministic ids.
-   This is splitmix64 again — the same mix finalizer, golden-ratio counter
-   step and substream offset as Flo_faults.Prng — duplicated because flo_obs
-   sits below flo_faults in the library DAG and must not depend upward.  A
-   test pins [mint_id ~seed ~stream k = Prng.at ~seed ~stream k] so the two
-   copies cannot drift silently. *)
-
-let golden = 0x9E3779B97F4A7C15L
-let stream_step = 0xD1342543DE82EF95L
-
-let mix z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let mint_id ~seed ~stream k =
-  if k < 0 then invalid_arg "Trace.mint_id: negative index";
-  let s0 =
-    Int64.add (mix (Int64.of_int seed)) (Int64.mul (Int64.of_int (stream + 1)) stream_step)
-  in
-  mix (Int64.add s0 (Int64.mul (Int64.of_int (k + 1)) golden))
-
+(* the k-th span id of a trace: one counter step of the splitmix64 stream
+   whose state is the trace id (trace ids themselves are Flo_faults.Prng.at
+   draws) *)
 let span_id ~trace_id k =
   if k < 0 then invalid_arg "Trace.span_id: negative index";
-  mix (Int64.add trace_id (Int64.mul (Int64.of_int (k + 1)) golden))
+  Flo_faults.Prng.nth trace_id k
 
 let id_to_string id =
   let b = Buffer.create 16 in

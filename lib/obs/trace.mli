@@ -7,12 +7,10 @@
     per-layer cache verdicts → disk service → retries), every span charged
     to simulated microseconds.  Unsampled requests never touch this module.
 
-    Determinism: ids are minted from the same splitmix64 counter sequences
-    the fault subsystem uses ({!mint_id} is definitionally equal to
-    [Flo_faults.Prng.at] — duplicated here because [flo_obs] sits {e below}
-    [flo_faults] in the library DAG), never from wall clocks, so a (seed,
-    params) pair yields byte-identical trace files on every run at every
-    [--jobs] setting. *)
+    Determinism: trace ids are [Flo_faults.Prng.at] draws, from the same
+    splitmix64 counter sequences the fault subsystem uses, never from wall
+    clocks, so a (seed, params) pair yields byte-identical trace files on
+    every run at every [--jobs] setting. *)
 
 type span = {
   name : string;  (** e.g. ["request"], ["queue.congestion"], ["disk.retry"] *)
@@ -66,12 +64,6 @@ val span_count : t -> int
 (** Spans in the tree, root included. *)
 
 (** {1 Deterministic ids} *)
-
-val mint_id : seed:int -> stream:int -> int -> int64
-(** [mint_id ~seed ~stream k]: the [k]-th splitmix64 output of the
-    decorrelated substream — a pure function of its arguments, equal to
-    [Flo_faults.Prng.at ~seed ~stream k] by construction (a test pins the
-    equality).  @raise Invalid_argument if [k < 0]. *)
 
 val span_id : trace_id:int64 -> int -> int64
 (** Stable id of the [k]-th span (preorder) of a trace — a pure function of

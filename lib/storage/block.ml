@@ -28,10 +28,6 @@ let hash t = t
 
 let pp ppf t = Format.fprintf ppf "%d:%d" (file t) (index t)
 
-let of_offset ~block_elems ~file off =
-  if off < 0 then invalid_arg "Block.of_offset: negative offset";
-  make ~file ~index:(off / block_elems)
-
 module Key = struct
   type nonrec t = t
 

@@ -38,8 +38,5 @@ val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
-val of_offset : block_elems:int -> file:int -> int -> t
-(** Block containing the element at a file offset (in elements). *)
-
 module Tbl : Hashtbl.S with type key = t
 module Set : Set.S with type elt = t

@@ -464,10 +464,6 @@ let access t ~thread b =
   | Some f -> access_fast t f ~thread b
   | None -> access_generic t ~thread b
 
-let touch_element t ~thread ~file ~offset =
-  access t ~thread
-    (Block.of_offset ~block_elems:t.topo.Topology.block_elems ~file offset)
-
 let thread_clock_us t thread = t.clocks.(thread)
 
 let elapsed_us t = Array.fold_left max 0. t.clocks
@@ -490,8 +486,6 @@ let prefetches t =
 
 let prefetch_hits t =
   Array.fold_left (fun acc s -> acc + s.Stats.prefetch_hits) 0 t.l2_stats
-
-let request_latency t = t.request_hist
 
 let reset t =
   Array.iter (fun (c : Policy.t) -> c.Policy.clear ()) t.l1;

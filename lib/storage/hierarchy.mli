@@ -80,9 +80,6 @@ val topology : t -> Topology.t
 val access : t -> thread:int -> Block.t -> unit
 (** Simulate one block read by [thread]. *)
 
-val touch_element : t -> thread:int -> file:int -> offset:int -> unit
-(** Convenience: access the block containing an element offset. *)
-
 val thread_clock_us : t -> int -> float
 val elapsed_us : t -> float
 (** Max over threads — the modeled parallel execution time. *)
@@ -108,9 +105,6 @@ val prefetches : t -> int
 
 val prefetch_hits : t -> int
 (** Prefetched blocks later claimed by a demand access. *)
-
-val request_latency : t -> Flo_obs.Histogram.t option
-(** The ["request_latency_us"] histogram when [metrics] was attached. *)
 
 val io_node_of_thread : t -> int -> int
 val reset : t -> unit

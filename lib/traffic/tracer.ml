@@ -156,7 +156,7 @@ let trace_tenant ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~hist cell
       in
       if tail_reasons <> [] then
         emit
-          ~trace_id:(Trace.mint_id ~seed ~stream ((2 * g.g_first_seq) + 1))
+          ~trace_id:(Flo_faults.Prng.at ~seed ~stream ((2 * g.g_first_seq) + 1))
           ~count:g.g_count ~reasons:tail_reasons g;
       (* head samples: replay sequence numbers divisible by the rate *)
       let first =
@@ -165,7 +165,7 @@ let trace_tenant ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~hist cell
       let q = ref first in
       while !q < g.g_first_seq + g.g_count do
         emit
-          ~trace_id:(Trace.mint_id ~seed ~stream (2 * !q))
+          ~trace_id:(Flo_faults.Prng.at ~seed ~stream (2 * !q))
           ~count:1 ~reasons:[ Trace.Head ] g;
         q := !q + t.sample_rate
       done)
@@ -178,7 +178,7 @@ let trace_tenant ~t ~seed ~stream ~tenant ~shard ~win_len_us ~windows ~hist cell
     List.map
       (fun (w, app, n, first_seq) ->
         Trace.make
-          ~trace_id:(Trace.mint_id ~seed ~stream ((2 * first_seq) + 1))
+          ~trace_id:(Flo_faults.Prng.at ~seed ~stream ((2 * first_seq) + 1))
           ~tenant ~app ~window:w ~shard ~outcome:"shed" ~latency_us:0. ~count:n
           ~reasons:[ Trace.Shed ]
           ~root:

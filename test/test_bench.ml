@@ -1,6 +1,6 @@
 (* The machine-readable bench trajectory: manifest schema round-trip and
-   validation, bench-diff's regression gating, and the bench history.  The
-   JSON codec itself is tested in test_obs.ml. *)
+   validation, `flopt bench diff`'s regression gating, and the bench
+   history.  The JSON codec itself is tested in test_obs.ml. *)
 
 open Flo_engine
 module B = Bench_schema
@@ -47,7 +47,7 @@ let test_baseline_reprints_byte_for_byte () =
   let ic = open_in_bin path in
   let bytes = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  check_int "baseline size" 4786 (String.length bytes);
+  check_int "baseline size" 3239 (String.length bytes);
   match B.load path with
   | Ok m -> check_str "reprinted baseline" bytes (J.to_string (B.to_json m) ^ "\n")
   | Error e -> Alcotest.failf "baseline did not load: %s" e

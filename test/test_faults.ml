@@ -108,7 +108,18 @@ let test_plan_scale () =
       | Fault_plan.Cache_offline _ -> ()
       | _ -> Alcotest.fail "unexpected clause")
     double.Fault_plan.specs;
-  check_int "structural clauses kept at s>0" 3 (List.length double.Fault_plan.specs)
+  check_int "structural clauses kept at s>0" 3 (List.length double.Fault_plan.specs);
+  (* NaN would pass an [s <= 0] test and make every rate NaN, infinity
+     turns a zero rate into NaN, and a negative scale would run fault-free:
+     each is rejected by name *)
+  List.iter
+    (fun (s, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           (Printf.sprintf
+              "Fault_plan.scale: scale must be finite and non-negative (got %s)" shown))
+        (fun () -> ignore (Fault_plan.scale p s)))
+    [ (nan, "nan"); (infinity, "inf"); (-1., "-1") ]
 
 let plan_arb =
   let open QCheck in
@@ -382,6 +393,15 @@ let prop_chaos_jobs_equivalence =
       in
       sweep 1 = sweep test_jobs)
 
+(* the node-9 clause makes any run's injector raise, so the scale message
+   shows the sweep checked every scale before its first run *)
+let test_chaos_checks_scales_first () =
+  let plan = plan_of "read-error:rate=0.5,node=9" in
+  Alcotest.check_raises "nan scale"
+    (Invalid_argument "Fault_plan.scale: scale must be finite and non-negative (got nan)")
+    (fun () ->
+      ignore (Experiment.chaos ~scales:[ 1.; nan ] ~jobs:1 ~plan small_config toy_app))
+
 (* ---- optimizer degradation chain ---------------------------------------- *)
 
 let test_optimizer_degradation_consistent () =
@@ -456,3 +476,4 @@ let suite =
     ("optimizer degradation chain consistent", `Quick, test_optimizer_degradation_consistent);
   ]
   @ qsuite
+  @ [ ("chaos checks every scale before a run", `Quick, test_chaos_checks_scales_first) ]

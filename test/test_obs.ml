@@ -200,56 +200,6 @@ let test_metrics_registry () =
     ]
     (List.map (fun (name, labels, _) -> (name, labels)) (Metrics.to_list m))
 
-(* ---- Metrics: merge is associative & commutative ----------------------- *)
-
-(* a comparable snapshot of a registry (histograms by bucket contents) *)
-let snapshot m =
-  List.map
-    (fun (name, labels, h) ->
-      (name, labels, Histogram.counts h, Histogram.count h, Histogram.sum h))
-    (Metrics.to_list m)
-
-(* registries built from op lists: (name idx, label idx, int value) *)
-let registry_ops_arb =
-  QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-    (QCheck.triple (QCheck.int_range 0 2) (QCheck.int_range 0 1) (QCheck.int_range 0 100))
-
-let build_registry ops =
-  let m = Metrics.create () in
-  List.iter
-    (fun (name_i, label_i, v) ->
-      let name = [| "alpha"; "beta"; "gamma" |].(name_i) in
-      let labels = if label_i = 0 then [] else [ ("node", "1") ] in
-      Histogram.add (Metrics.histogram m ~labels ("h." ^ name)) (float_of_int v))
-    ops;
-  m
-
-let prop_metrics_merge_commutative =
-  QCheck.Test.make ~name:"metrics merge is commutative" ~count:100
-    (QCheck.pair registry_ops_arb registry_ops_arb) (fun (a, b) ->
-      let ma = build_registry a and mb = build_registry b in
-      snapshot (Metrics.merge ma mb) = snapshot (Metrics.merge mb ma))
-
-let prop_metrics_merge_associative =
-  QCheck.Test.make ~name:"metrics merge is associative" ~count:100
-    (QCheck.triple registry_ops_arb registry_ops_arb registry_ops_arb)
-    (fun (a, b, c) ->
-      let ma = build_registry a and mb = build_registry b and mc = build_registry c in
-      snapshot (Metrics.merge ma (Metrics.merge mb mc))
-      = snapshot (Metrics.merge (Metrics.merge ma mb) mc))
-
-let prop_metrics_merge_leaves_inputs () =
-  let ma = build_registry [ (0, 0, 7) ] in
-  let mb = build_registry [ (0, 0, 9) ] in
-  let merged = Metrics.merge ma mb in
-  (* mutating the merged registry must not leak into the inputs *)
-  (match Metrics.find_histogram merged "h.alpha" with
-  | Some h -> Histogram.add h 1.
-  | None -> Alcotest.fail "merged histogram missing");
-  match Metrics.find_histogram ma "h.alpha" with
-  | Some h -> check "input unchanged" 1 (Histogram.count h)
-  | None -> Alcotest.fail "input histogram missing"
-
 (* ---- Event ------------------------------------------------------------- *)
 
 let test_event_json () =
@@ -721,8 +671,6 @@ let qsuite =
       prop_json_roundtrip;
       prop_decoder_total "Event.of_json" Event.of_json;
       prop_decoder_total "Trace.of_json" Trace.of_json;
-      prop_metrics_merge_commutative;
-      prop_metrics_merge_associative;
       prop_hierarchy_events_match_stats;
     ]
 
@@ -735,7 +683,6 @@ let suite =
     ("event json parsing", `Quick, test_event_json_parse);
     ("crash-safe jsonl sink", `Quick, test_with_jsonl_crash_safe);
     ("metrics registry", `Quick, test_metrics_registry);
-    ("metrics merge copies", `Quick, prop_metrics_merge_leaves_inputs);
     ("event json encoding", `Quick, test_event_json);
     ("golden trace re-emits byte for byte", `Quick, test_golden_trace_reemits);
     ("json roundtrip by hand", `Quick, test_json_roundtrip_by_hand);

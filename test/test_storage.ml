@@ -13,7 +13,6 @@ let test_block () =
   check "index" 5 (Block.index x);
   checkb "equal" true (Block.equal x (Block.make ~file:2 ~index:5));
   checkb "ordering by file first" true (Block.compare (b ~file:0 9) (b ~file:1 0) < 0);
-  checkb "of_offset" true (Block.equal (Block.of_offset ~block_elems:64 ~file:1 130) (b ~file:1 2));
   Alcotest.check_raises "negative" (Invalid_argument "Block.make: negative component")
     (fun () -> ignore (Block.make ~file:(-1) ~index:0))
 

@@ -1,8 +1,8 @@
-(* Request-level sampled tracing: id minting pinned to the fault-subsystem
-   PRNG, trace/event JSON round-trips, the exemplar keep-max law, jobs
-   equivalence of whole trace files, tail-sampling completeness under a
-   fault storm, and the zero-overhead-when-off guarantee (tracing must
-   never move a modeled number). *)
+(* Request-level sampled tracing: trace and span ids pinned to known
+   splitmix64 draws, trace/event JSON round-trips, the exemplar keep-max
+   law, jobs equivalence of whole trace files, tail-sampling completeness
+   under a fault storm, and the zero-overhead-when-off guarantee (tracing
+   must never move a modeled number). *)
 
 open Flo_traffic
 module Trace = Flo_obs.Trace
@@ -41,20 +41,21 @@ let simulate ?(jobs = 1) params =
 
 (* ---- id minting -------------------------------------------------------- *)
 
-(* flo_obs sits below flo_faults, so Trace carries its own copy of the
-   splitmix64 substream math; this equality is the contract that keeps the
-   two from drifting apart *)
-let test_mint_id_equals_prng_at () =
+(* trace and span ids are splitmix64 draws (Prng.at, Prng.nth); pinning a
+   few by value names the function that moved, where the goldens' digests
+   only say that some byte did *)
+let test_ids_pinned () =
   List.iter
-    (fun (seed, stream) ->
-      for k = 0 to 64 do
-        checkb
-          (Printf.sprintf "mint_id = Prng.at (seed=%d stream=%d k=%d)" seed
-             stream k)
-          true
-          (Trace.mint_id ~seed ~stream k = Flo_faults.Prng.at ~seed ~stream k)
-      done)
-    [ (0, 0); (42, 3); (7, 1024); (123456789, 17) ]
+    (fun (seed, stream, k, id, span3) ->
+      let name = Printf.sprintf "seed=%d stream=%d k=%d" seed stream k in
+      checkb ("trace id " ^ name) true (Flo_faults.Prng.at ~seed ~stream k = id);
+      checkb ("span id 3 " ^ name) true (Trace.span_id ~trace_id:id 3 = span3))
+    [
+      (0, 0, 0, 0xf4a90164c4749e1aL, 0x1068e219618381c1L);
+      (42, 3, 7, 0xbcd853c72b286c70L, 0xfc5718137f57813dL);
+      (7, 1024, 64, 0x207a8ffa2c321409L, 0x1875d409ebd7e69dL);
+      (123456789, 17, 1, 0x09a5cef38789564dL, 0x6ca62bd9a50aa3e5L);
+    ]
 
 let test_id_string_roundtrip () =
   List.iter
@@ -62,7 +63,7 @@ let test_id_string_roundtrip () =
       let s = Trace.id_to_string id in
       check_int "16 hex digits" 16 (String.length s);
       checkb "id_of_string inverts" true (Trace.id_of_string s = Some id))
-    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; Trace.mint_id ~seed:1 ~stream:2 3 ];
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; Flo_faults.Prng.at ~seed:1 ~stream:2 3 ];
   List.iter
     (fun bad -> checkb bad true (Trace.id_of_string bad = None))
     [ ""; "123"; "xyzxyzxyzxyzxyzx"; "00000000000000000" ]
@@ -388,7 +389,7 @@ let qsuite =
 
 let suite =
   [
-    ("mint_id = Prng.at", `Quick, test_mint_id_equals_prng_at);
+    ("ids pinned to splitmix64 draws", `Quick, test_ids_pinned);
     ("id string round-trip", `Quick, test_id_string_roundtrip);
     ("trace JSON round-trip", `Quick, test_trace_json_roundtrip);
     ("trace JSON forward-compat", `Quick, test_trace_json_forward_compat);
