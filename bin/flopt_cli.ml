@@ -42,13 +42,9 @@ let layout_arg =
            ~doc:"File layouts: default (row-major), inter (the paper's pass), reindex [27], compmap [26].")
 
 let caching_arg =
-  let values =
-    [ ("lru", Run.Lru); ("karma", Run.Karma); ("demote", Run.Demote);
-      ("mq", Run.Custom (Flo_storage.Lru.create, Flo_storage.Mq.create));
-      ("clock", Run.Custom (Flo_storage.Clock.create, Flo_storage.Clock.create)) ]
-  in
+  let values = [ ("lru", Run.Lru); ("karma", Run.Karma); ("demote", Run.Demote) ] in
   Arg.(value & opt (enum values) Run.Lru
-       & info [ "caching" ] ~docv:"POLICY" ~doc:"Cache management: lru, karma, demote, mq, clock.")
+       & info [ "caching" ] ~docv:"POLICY" ~doc:"Cache management: lru, karma, demote.")
 
 let mapping_arg =
   Arg.(value & opt int 0
@@ -1351,6 +1347,8 @@ let bench_json_cmd =
         Printf.eprintf "flopt: bench json: --apps names %S twice\n" name;
         exit 2)
       (first_repeat selected);
+    (* an unwritable --out fails before the collection, not after it *)
+    save_file out Flo_obs.Json.probe_writable;
     let collect jobs =
       Bench_json.collect ~jobs ~sample
         ~progress:(fun name -> Printf.eprintf "bench json: %s...\n%!" name)
@@ -1535,8 +1533,11 @@ let bench_history_cmd =
       | Ok h -> h
       | Error msg -> fail "%s" msg
     in
-    (* the page first: an unwritable --page must not leave a recorded row
-       behind (the page is regenerated from the history on every record) *)
+    (* --out is checked before anything is written, so its failure leaves
+       no page naming an unrecorded commit; the page goes first, so an
+       unwritable --page records no row (the page is regenerated from the
+       history on every record) *)
+    save_file out Flo_obs.Json.probe_writable;
     write_file page (fun oc -> output_string oc (Bench_history.render_page history));
     save_file out (fun path -> Bench_history.save path history);
     Printf.printf "recorded commit %s (%d points) -> %s (%d rows), trend page %s\n"

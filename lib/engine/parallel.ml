@@ -13,13 +13,17 @@ let parse_jobs s =
   | Some n when n >= 1 -> Ok n
   | _ -> Error (Printf.sprintf "FLOPT_JOBS=%S: expected a positive integer" s)
 
+let cores () = max 1 (Domain.recommended_domain_count ())
+
 let default_jobs () =
   match Sys.getenv_opt "FLOPT_JOBS" with
   | Some s -> parse_jobs s
-  | None -> Ok (max 1 (Domain.recommended_domain_count ()))
+  | None -> Ok (cores ())
 
+(* FLOPT_JOBS is the CLI's to read, through [default_jobs]: an omitted
+   [jobs] is the core count, so no library call raises on a bad value *)
 let resolve_jobs = function
-  | None -> ( match default_jobs () with Ok n -> n | Error msg -> invalid_arg msg)
+  | None -> cores ()
   | Some n when n >= 1 -> n
   | Some n -> invalid_arg (Printf.sprintf "Parallel: jobs = %d < 1" n)
 

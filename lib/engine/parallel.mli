@@ -17,14 +17,15 @@ val parse_jobs : string -> (int, string) result
 
 val default_jobs : unit -> (int, string) result
 (** The [FLOPT_JOBS] environment variable through {!parse_jobs} if set,
-    else [Ok (Domain.recommended_domain_count ())].  This is what [--jobs]
-    flags default to; an explicit [--jobs N] never reads the variable. *)
+    else [Ok (Domain.recommended_domain_count ())].  This is what the CLI's
+    [--jobs] flags default to; an explicit [--jobs N] never reads the
+    variable.  It is the only reader of [FLOPT_JOBS]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f arr] is [Array.map f arr] computed by [min jobs
     (Array.length arr)] domains (the caller's domain is one of them).
-    [jobs] defaults to {!default_jobs} ([Invalid_argument] on its
-    [Error]).  If tasks raise, every task still
+    [jobs] defaults to [Domain.recommended_domain_count ()]; [FLOPT_JOBS]
+    is not read.  If tasks raise, every task still
     runs, all domains are joined, and the exception of the {e
     lowest-index} failing task is re-raised with its backtrace — again
     independent of scheduling.

@@ -119,17 +119,18 @@ let run ?mapping ?(caching = Lru) ?assigns ?(sample = 1) ?(readahead = 0) ?sink 
     | Some m -> fun t -> m.(t)
     | None -> fun t -> t mod topo.Topology.compute_nodes
   in
-  let hier =
+  (* the caching scheme is an inter-level protocol plus the caches to run
+     it over; None keeps the hierarchy's default LRU caches *)
+  let protocol, l1, l2 =
+    let per_node nodes f = Some (Array.init nodes f) in
     match caching with
-    | Lru -> Hierarchy.create ?mapping ~costs:config.Config.costs
-               ~disk_params:config.Config.disk_params ~readahead ?sink ?metrics ?faults topo
-    | Demote ->
-      Hierarchy.create ?mapping ~protocol:Hierarchy.Demote_exclusive
-        ~costs:config.Config.costs ~disk_params:config.Config.disk_params ~readahead
-        ?sink ?metrics ?faults topo
+    | Lru -> (Hierarchy.Inclusive, None, None)
+    | Demote -> (Hierarchy.Demote_exclusive, None, None)
     | Custom (f1, f2) ->
-      Hierarchy.create ?mapping ~l1_factory:f1 ~l2_factory:f2 ~costs:config.Config.costs
-        ~disk_params:config.Config.disk_params ~readahead ?sink ?metrics ?faults topo
+      ( Hierarchy.Inclusive,
+        per_node topo.Topology.io_nodes (fun _ -> f1 ~capacity:topo.Topology.io_cache_blocks),
+        per_node topo.Topology.storage_nodes (fun _ ->
+            f2 ~capacity:topo.Topology.storage_cache_blocks) )
     | Karma ->
       let io_of_thread t = Topology.io_of_compute topo (mapping_fn t) in
       let hints =
@@ -142,13 +143,14 @@ let run ?mapping ?(caching = Lru) ?assigns ?(sample = 1) ?(readahead = 0) ?sink 
         Karma.plan ~l1_hints:hints ~l1_capacity:topo.Topology.io_cache_blocks
           ~l2_capacity_total:(topo.Topology.storage_cache_blocks * topo.Topology.storage_nodes)
       in
-      let l1 = Array.init topo.Topology.io_nodes (fun io -> Karma.l1_cache plan ~io) in
-      let l2 =
-        Array.init topo.Topology.storage_nodes (fun _ ->
-            Karma.l2_cache plan ~storage_nodes:topo.Topology.storage_nodes)
-      in
-      Hierarchy.create ?mapping ~l1 ~l2 ~costs:config.Config.costs
-        ~disk_params:config.Config.disk_params ~readahead ?sink ?metrics ?faults topo
+      ( Hierarchy.Inclusive,
+        per_node topo.Topology.io_nodes (fun io -> Karma.l1_cache plan ~io),
+        per_node topo.Topology.storage_nodes (fun _ ->
+            Karma.l2_cache plan ~storage_nodes:topo.Topology.storage_nodes) )
+  in
+  let hier =
+    Hierarchy.create ?mapping ~protocol ?l1 ?l2 ~costs:config.Config.costs
+      ~disk_params:config.Config.disk_params ~readahead ?sink ?metrics ?faults topo
   in
   let block_requests = ref 0 in
   let iterations = ref 0 in

@@ -10,7 +10,9 @@ type caching =
   | Demote  (** DEMOTE-LRU exclusive caching, Fig. 7(h) *)
   | Karma  (** KARMA hint-based exclusive caching, Fig. 7(h) *)
   | Custom of Policy.factory * Policy.factory
-      (** any other (inclusive) policy pair, e.g. MQ or CLOCK *)
+      (** inclusive caching over the given (I/O node, storage node) cache
+          factories: the hook through which tests replay a run on the
+          {!Flo_storage.Lru.reference} oracle *)
 
 type result = {
   app : string;

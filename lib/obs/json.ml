@@ -310,8 +310,10 @@ let decode conv s = match conv (parse s) with v -> Ok v | exception Parse m -> E
 
 (* -- atomic files ------------------------------------------------------- *)
 
+let side_file path = path ^ ".tmp"
+
 let write_atomic path f =
-  let tmp = path ^ ".tmp" in
+  let tmp = side_file path in
   let oc = open_out_bin tmp in
   match
     f oc;
@@ -328,3 +330,10 @@ let write_atomic path f =
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
     Printexc.raise_with_backtrace e bt
+
+let probe_writable path =
+  (* the side file would open, but the rename onto a directory fails *)
+  if Sys.file_exists path && Sys.is_directory path then raise (Sys_error "Is a directory");
+  let tmp = side_file path in
+  close_out (open_out_bin tmp);
+  Sys.remove tmp

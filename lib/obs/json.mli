@@ -104,3 +104,10 @@ val write_atomic : string -> (out_channel -> unit) -> unit
     contents or the whole new file, never a prefix.  On any failure the side
     file is removed, [path] is left untouched and the exception (e.g.
     [Sys_error] for an unwritable directory) propagates. *)
+
+val probe_writable : string -> unit
+(** Create and remove {!write_atomic}'s side file for [path], so a caller
+    can reject an unwritable path before doing the work whose result it
+    will write.  Leaves no file behind.
+    @raise Sys_error as {!write_atomic} would, with the same message, when
+    the side file cannot be created or [path] is a directory. *)

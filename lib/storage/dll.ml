@@ -18,8 +18,6 @@ let create () =
   incr next_id;
   { id = !next_id; front = None; back = None; len = 0 }
 
-let value n = n.v
-let is_empty t = t.len = 0
 let length t = t.len
 
 let push_front t v =
@@ -52,8 +50,6 @@ let move_front t n =
   (match t.front with Some h -> h.prev <- Some n | None -> t.back <- Some n);
   t.front <- Some n;
   t.len <- t.len + 1
-
-let peek_back t = t.back
 
 let pop_back t =
   match t.back with

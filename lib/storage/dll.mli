@@ -1,14 +1,12 @@
 (** Mutable doubly-linked lists with external node handles.
 
-    Backbone of the recency structures in {!Lru} and {!Mq}: all queue
-    operations are O(1) given the node handle. *)
+    The recency list of {!Lru.reference}, the oracle the flat LRU kernel is
+    tested against: all queue operations are O(1) given the node handle. *)
 
 type 'a t
 type 'a node
 
 val create : unit -> 'a t
-val value : 'a node -> 'a
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 
 val push_front : 'a t -> 'a -> 'a node
@@ -18,7 +16,6 @@ val remove : 'a t -> 'a node -> unit
 (** @raise Invalid_argument if the node is not currently in [t]. *)
 
 val move_front : 'a t -> 'a node -> unit
-val peek_back : 'a t -> 'a node option
 val pop_back : 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit

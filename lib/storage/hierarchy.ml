@@ -44,8 +44,8 @@ type t = {
   fast : fast option;
 }
 
-let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
-    ?(costs = default_costs) ?disk_params ?(readahead = 0) ?(sink = Flo_obs.Sink.null) ?metrics ?faults topo =
+let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?(costs = default_costs) ?disk_params
+    ?(readahead = 0) ?(sink = Flo_obs.Sink.null) ?metrics ?faults topo =
   if readahead < 0 then invalid_arg "Hierarchy.create: negative readahead";
   let threads = Topology.threads topo in
   let mapping =
@@ -60,27 +60,19 @@ let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
         m;
       Array.copy m
   in
-  let l1_factory = Option.value l1_factory ~default:Lru.create in
-  let l2_factory = Option.value l2_factory ~default:Lru.create in
-  let l1 =
-    match l1 with
+  let caches layer ~nodes ~capacity = function
     | Some caches ->
-      if Array.length caches <> topo.Topology.io_nodes then
-        invalid_arg "Hierarchy.create: l1 cache count";
+      if Array.length caches <> nodes then
+        invalid_arg ("Hierarchy.create: " ^ layer ^ " cache count");
       caches
-    | None ->
-      Array.init topo.Topology.io_nodes (fun _ ->
-          l1_factory ~capacity:topo.Topology.io_cache_blocks)
+    | None -> Array.init nodes (fun _ -> Lru.create ~capacity)
+  in
+  let l1 =
+    caches "l1" ~nodes:topo.Topology.io_nodes ~capacity:topo.Topology.io_cache_blocks l1
   in
   let l2 =
-    match l2 with
-    | Some caches ->
-      if Array.length caches <> topo.Topology.storage_nodes then
-        invalid_arg "Hierarchy.create: l2 cache count";
-      caches
-    | None ->
-      Array.init topo.Topology.storage_nodes (fun _ ->
-          l2_factory ~capacity:topo.Topology.storage_cache_blocks)
+    caches "l2" ~nodes:topo.Topology.storage_nodes
+      ~capacity:topo.Topology.storage_cache_blocks l2
   in
   let disks =
     Array.init topo.Topology.storage_nodes (fun _ -> Disk.create ?params:disk_params ())
@@ -238,7 +230,8 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
   attempt 0 ~extra:0.
 
 (* Generic path: Policy closures, event emission, fault injection.  Taken
-   whenever a non-LRU policy, a sink or an injector is attached. *)
+   whenever a cache without flat state (KARMA's, Lru.reference), a sink or
+   an injector is attached. *)
 let access_generic t ~thread b =
   let io = t.io_tbl.(thread) in
   let time_us = t.clocks.(thread) in

@@ -8,11 +8,11 @@
     Two inter-level protocols are provided:
     {ul
     {- [Inclusive]: the paper's default.  Blocks fetched from below are
-       installed at every level (LRU et al. inclusive caching).}
-    {- [Demote_exclusive]: Wong & Wilkes' DEMOTE.  A layer-2 read hit hands
-       the block to layer 1 and drops it from layer 2; blocks evicted from
-       layer 1 are demoted to the MRU end of their storage node's cache;
-       disk fills bypass layer 2.}}
+       installed at every level (inclusive LRU).}
+    {- [Demote_exclusive]: Wong & Wilkes' DEMOTE-LRU.  A layer-2 read hit
+       hands the block to layer 1 and moves it to the cold (LRU) end of
+       layer 2, where disk fills enter too; blocks evicted from layer 1 are
+       demoted to the MRU end of their storage node's cache.}}
 
     KARMA needs no protocol of its own: its partitioned caches (see
     {!Karma}) refuse blocks assigned to the other level, so running them
@@ -45,8 +45,6 @@ val create :
   ?mapping:int array ->
   ?l1:Policy.t array ->
   ?l2:Policy.t array ->
-  ?l1_factory:Policy.factory ->
-  ?l2_factory:Policy.factory ->
   ?costs:costs ->
   ?disk_params:Disk.params ->
   ?readahead:int ->
@@ -56,8 +54,9 @@ val create :
   Topology.t ->
   t
 (** [mapping] permutes threads onto compute nodes (Fig. 7(b)); default is
-    the identity.  Explicit cache arrays win over factories; factories
-    default to {!Lru.create}.  [readahead > 0] enables sequential prefetch
+    the identity.  [l1] holds one cache per I/O node and [l2] one per
+    storage node; each defaults to {!Lru.create} caches of the topology's
+    capacity.  [readahead > 0] enables sequential prefetch
     at the storage nodes: a disk read also pulls the next [readahead]
     same-node stripe units of the file into the storage cache (cold), with
     a small overlapped transfer charge — the mechanism behind the paper's

@@ -126,25 +126,18 @@ let find_class sorted b =
     in
     bsearch 0 (Array.length ranges - 1)
 
-let partitioned_cache ~name global indices ~quota_of =
+let partitioned_cache global indices ~quota_of =
   let sorted = range_index global indices in
   let parts = Hashtbl.create 16 in
-  let capacity = ref 0 in
   Array.iter
-    (fun i ->
-      let q = max 1 (quota_of global.(i)) in
-      capacity := !capacity + q;
-      Hashtbl.replace parts i (Lru.create ~capacity:q))
+    (fun i -> Hashtbl.replace parts i (Lru.create ~capacity:(max 1 (quota_of global.(i)))))
     indices;
-  let capacity = !capacity in
   let part_of b = Option.bind (find_class sorted b) (Hashtbl.find_opt parts) in
   let fold f init =
     Hashtbl.fold (fun _ (p : Policy.t) acc -> f p acc) parts init
   in
   {
-    Policy.name;
-    capacity;
-    touch = (fun b -> match part_of b with None -> false | Some p -> p.Policy.touch b);
+    Policy.touch = (fun b -> match part_of b with None -> false | Some p -> p.Policy.touch b);
     insert = (fun b -> match part_of b with None -> None | Some p -> p.Policy.insert b);
     insert_cold =
       (fun b -> match part_of b with None -> None | Some p -> p.Policy.insert_cold b);
@@ -158,8 +151,8 @@ let partitioned_cache ~name global indices ~quota_of =
   }
 
 let l1_cache plan ~io =
-  partitioned_cache ~name:"karma-l1" plan.global plan.l1_of_cls.(io) ~quota_of:size
+  partitioned_cache plan.global plan.l1_of_cls.(io) ~quota_of:size
 
 let l2_cache plan ~storage_nodes =
-  partitioned_cache ~name:"karma-l2" plan.global plan.l2_of_cls
+  partitioned_cache plan.global plan.l2_of_cls
     ~quota_of:(fun c -> (size c + storage_nodes - 1) / storage_nodes)

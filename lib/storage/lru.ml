@@ -9,9 +9,7 @@ let create ~capacity : Policy.t =
   let s = Flat_lru.create ~capacity in
   let victim v = if v < 0 then None else Some (Block.unsafe_of_int v) in
   {
-    Policy.name = "lru";
-    capacity;
-    touch = (fun b -> Flat_lru.touch s (b :> int));
+    Policy.touch = (fun b -> Flat_lru.touch s (b :> int));
     insert = (fun b -> victim (Flat_lru.insert s (b :> int)));
     insert_cold = (fun b -> victim (Flat_lru.insert_cold s (b :> int)));
     remove = (fun b -> Flat_lru.remove s (b :> int));
@@ -67,9 +65,7 @@ let reference ~capacity : Policy.t =
   Policy.check_capacity capacity;
   let s = { capacity; tbl = Block.Tbl.create (2 * capacity); order = Dll.create () } in
   {
-    Policy.name = "lru";
-    capacity;
-    touch = touch s;
+    Policy.touch = touch s;
     insert = add ~cold:false s;
     insert_cold = add ~cold:true s;
     remove = remove s;

@@ -1,6 +1,4 @@
 type t = {
-  name : string;
-  capacity : int;
   touch : Block.t -> bool;
   insert : Block.t -> Block.t option;
   insert_cold : Block.t -> Block.t option;

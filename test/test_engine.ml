@@ -140,7 +140,7 @@ let test_run_caching_variants () =
       let r = Run.run ~caching ~config:small_config
                 ~layouts:(Experiment.default_layouts small_app) small_app in
       checkb "runs" true (r.Run.elapsed_us > 0.))
-    [ Run.Lru; Run.Demote; Run.Karma; Run.Custom (Lru.create, Mq.create) ]
+    [ Run.Lru; Run.Demote; Run.Karma; Run.Custom (Lru.create, Lru.reference) ]
 
 let test_run_mapping_permutation () =
   let m = Experiment.random_mapping ~seed:1 small_config in

@@ -79,6 +79,10 @@ let test_jobs_validation () =
   Unix.putenv "FLOPT_JOBS" "nonsense";
   checkb "bad FLOPT_JOBS rejected" true
     (Parallel.default_jobs () = Error {|FLOPT_JOBS="nonsense": expected a positive integer|});
+  (* only the CLI reads the variable: the library default ignores it *)
+  let input = Array.init 16 (fun i -> i) in
+  checkb "map without ~jobs ignores FLOPT_JOBS" true
+    (Parallel.map succ input = Array.map succ input);
   Unix.putenv "FLOPT_JOBS" "3";
   checkb "FLOPT_JOBS honored" true (Parallel.default_jobs () = Ok 3);
   (* leave a benign value behind: later tests always pass ~jobs explicitly *)

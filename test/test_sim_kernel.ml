@@ -106,16 +106,14 @@ let test_flat_lru_validation () =
     | exception Invalid_argument _ -> true);
   checkb "lru factory populates fast" true ((Lru.create ~capacity:4).Policy.fast <> None);
   checkb "reference leaves fast none" true
-    ((Lru.reference ~capacity:4).Policy.fast = None);
-  checkb "mq leaves fast none" true ((Mq.create ~capacity:4).Policy.fast = None);
-  checkb "clock leaves fast none" true ((Clock.create ~capacity:4).Policy.fast = None)
+    ((Lru.reference ~capacity:4).Policy.fast = None)
 
 (* ---- hierarchy: fast path = generic path over random access strings ----- *)
 
 (* The suite golden below covers the default Inclusive, readahead-0
    configuration; this property drives the paths it cannot reach — DEMOTE
    demotions and the readahead/prefetch machinery — through both kernels.
-   The reference hierarchy is built from Lru.reference factories, so it
+   The reference hierarchy is built from Lru.reference caches, so it
    takes the generic closure path; observables must match exactly. *)
 
 let topo_small =
@@ -159,9 +157,16 @@ let prop_hierarchy_fast_matches_generic =
         if demote then Hierarchy.Demote_exclusive else Hierarchy.Inclusive
       in
       let fast = Hierarchy.create ~protocol ~readahead topo_small in
+      let reference nodes capacity =
+        Array.init nodes (fun _ -> Lru.reference ~capacity)
+      in
       let generic =
-        Hierarchy.create ~protocol ~readahead ~l1_factory:Lru.reference
-          ~l2_factory:Lru.reference topo_small
+        Hierarchy.create ~protocol ~readahead
+          ~l1:(reference topo_small.Topology.io_nodes topo_small.Topology.io_cache_blocks)
+          ~l2:
+            (reference topo_small.Topology.storage_nodes
+               topo_small.Topology.storage_cache_blocks)
+          topo_small
       in
       List.iter
         (fun (t, f, i) ->

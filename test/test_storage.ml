@@ -40,7 +40,7 @@ let test_stats () =
 
 let test_dll () =
   let l = Dll.create () in
-  checkb "empty" true (Dll.is_empty l);
+  check "empty" 0 (Dll.length l);
   let n1 = Dll.push_front l 1 in
   let _n2 = Dll.push_front l 2 in
   let n3 = Dll.push_back l 3 in
@@ -57,38 +57,35 @@ let test_dll () =
   Dll.remove l n1;
   check "after remove" 2 (Dll.length l);
   checkb "pop_back" true (Dll.pop_back l = Some 2);
-  checkb "peek_back" true (Option.map Dll.value (Dll.peek_back l) = Some 3);
+  checkb "back after pop" true (collect () = [ 3 ]);
   Alcotest.check_raises "stale node" (Invalid_argument "Dll.remove: node not in this list")
     (fun () -> Dll.remove l n1)
 
-(* ---- policy conformance (shared across implementations) -------------- *)
+(* ---- LRU ------------------------------------------------------------ *)
 
-let policy_conformance name (factory : Policy.factory) =
-  let test () =
-    let c = factory ~capacity:3 in
-    checkb "miss on empty" false (c.Policy.touch (b 1));
-    checkb "no eviction below capacity" true (c.Policy.insert (b 1) = None);
-    ignore (c.Policy.insert (b 2));
-    ignore (c.Policy.insert (b 3));
-    check "size at capacity" 3 (c.Policy.size ());
-    checkb "hit" true (c.Policy.touch (b 2));
-    checkb "contains no refresh" true (c.Policy.contains (b 1));
-    (* inserting a resident block evicts nothing *)
-    checkb "reinsert no evict" true (c.Policy.insert (b 3) = None);
-    check "size stable" 3 (c.Policy.size ());
-    (* overflow evicts exactly one resident block *)
-    (match c.Policy.insert (b 4) with
-    | Some victim -> checkb "victim was resident" true (List.mem (Block.index victim) [ 1; 2; 3 ])
-    | None -> Alcotest.fail "expected an eviction");
-    check "size after eviction" 3 (c.Policy.size ());
-    checkb "remove" true (c.Policy.remove (b 4));
-    checkb "remove absent" false (c.Policy.remove (b 99));
-    check "size after remove" 2 (c.Policy.size ());
-    c.Policy.clear ();
-    check "cleared" 0 (c.Policy.size ());
-    checkb "miss after clear" false (c.Policy.touch (b 2))
-  in
-  (name ^ " conformance", `Quick, test)
+let test_lru_conformance () =
+  let c = Lru.create ~capacity:3 in
+  checkb "miss on empty" false (c.Policy.touch (b 1));
+  checkb "no eviction below capacity" true (c.Policy.insert (b 1) = None);
+  ignore (c.Policy.insert (b 2));
+  ignore (c.Policy.insert (b 3));
+  check "size at capacity" 3 (c.Policy.size ());
+  checkb "hit" true (c.Policy.touch (b 2));
+  checkb "contains no refresh" true (c.Policy.contains (b 1));
+  (* inserting a resident block evicts nothing *)
+  checkb "reinsert no evict" true (c.Policy.insert (b 3) = None);
+  check "size stable" 3 (c.Policy.size ());
+  (* overflow evicts exactly one resident block *)
+  (match c.Policy.insert (b 4) with
+  | Some victim -> checkb "victim was resident" true (List.mem (Block.index victim) [ 1; 2; 3 ])
+  | None -> Alcotest.fail "expected an eviction");
+  check "size after eviction" 3 (c.Policy.size ());
+  checkb "remove" true (c.Policy.remove (b 4));
+  checkb "remove absent" false (c.Policy.remove (b 99));
+  check "size after remove" 2 (c.Policy.size ());
+  c.Policy.clear ();
+  check "cleared" 0 (c.Policy.size ());
+  checkb "miss after clear" false (c.Policy.touch (b 2))
 
 let test_lru_order () =
   let c = Lru.create ~capacity:3 in
@@ -106,46 +103,6 @@ let test_lru_insert_cold () =
   ignore (c.Policy.insert_cold (b 2));
   (* 2 sits at the LRU end despite being inserted last *)
   checkb "cold is first victim" true (c.Policy.insert (b 3) = Some (b 2))
-
-let test_clock_second_chance () =
-  let c = Clock.create ~capacity:2 in
-  ignore (c.Policy.insert (b 1));
-  ignore (c.Policy.insert (b 2));
-  ignore (c.Policy.touch (b 1));
-  ignore (c.Policy.touch (b 2));
-  (* all referenced: the hand clears bits and evicts the first it re-reaches *)
-  (match c.Policy.insert (b 3) with
-  | Some _ -> ()
-  | None -> Alcotest.fail "expected eviction");
-  check "size" 2 (c.Policy.size ())
-
-let test_mq_frequency_protection () =
-  let c = Mq.create ~capacity:4 in
-  (* make block 1 hot *)
-  ignore (c.Policy.insert (b 1));
-  for _ = 1 to 8 do
-    ignore (c.Policy.touch (b 1))
-  done;
-  ignore (c.Policy.insert (b 2));
-  ignore (c.Policy.insert (b 3));
-  ignore (c.Policy.insert (b 4));
-  (* a cold insert should evict a cold block, not the hot one *)
-  (match c.Policy.insert (b 5) with
-  | Some victim -> checkb "hot block survives" false (Block.equal victim (b 1))
-  | None -> Alcotest.fail "expected eviction");
-  checkb "hot still resident" true (c.Policy.contains (b 1))
-
-let test_mq_history () =
-  let c = Mq.create ~capacity:2 in
-  ignore (c.Policy.insert (b 1));
-  for _ = 1 to 6 do
-    ignore (c.Policy.touch (b 1))
-  done;
-  (* evict 1, then re-fetch: remembered frequency should place it high *)
-  ignore (c.Policy.insert (b 2));
-  ignore (c.Policy.insert (b 3));
-  ignore (c.Policy.insert (b 1));
-  checkb "refetched" true (c.Policy.contains (b 1))
 
 (* ---- Disk ------------------------------------------------------------ *)
 
@@ -384,7 +341,7 @@ let prop_lru_matches_model =
         ops)
 
 let prop_caches_never_exceed_capacity =
-  let factories = [ ("lru", Lru.create); ("clock", Clock.create); ("mq", Mq.create) ] in
+  let factories = [ ("lru", Lru.create); ("reference", Lru.reference) ] in
   let ops = QCheck.list_of_size (QCheck.Gen.int_range 1 100) (QCheck.int_range 0 30) in
   QCheck.Test.make ~name:"no policy exceeds capacity" ~count:50 ops (fun keys ->
       List.for_all
@@ -403,14 +360,9 @@ let suite =
     ("block identity", `Quick, test_block);
     ("stats counters", `Quick, test_stats);
     ("dll operations", `Quick, test_dll);
-    policy_conformance "lru" Lru.create;
-    policy_conformance "clock" Clock.create;
-    policy_conformance "mq" Mq.create;
+    ("lru conformance", `Quick, test_lru_conformance);
     ("lru eviction order", `Quick, test_lru_order);
     ("lru cold insertion", `Quick, test_lru_insert_cold);
-    ("clock second chance", `Quick, test_clock_second_chance);
-    ("mq frequency protection", `Quick, test_mq_frequency_protection);
-    ("mq history buffer", `Quick, test_mq_history);
     ("disk service model", `Quick, test_disk);
     ("disk seek monotonicity", `Quick, test_disk_monotone_seek);
     ("striping placement", `Quick, test_striping);

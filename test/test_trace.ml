@@ -11,6 +11,16 @@ module Histogram = Flo_obs.Histogram
 let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
+
+(* the first position >= [i] where [needle] starts in [hay], or -1; it
+   compares in place and allocates nothing *)
+let find_from hay i needle =
+  let n = String.length needle and h = String.length hay in
+  let rec matches j k = k = n || (hay.[j + k] = needle.[k] && matches j (k + 1)) in
+  let rec go j = if j + n > h then -1 else if matches j 0 then j else go (j + 1) in
+  go i
+
+let has_needle hay needle = find_from hay 0 needle >= 0
 let test_jobs = Test_parallel.test_jobs
 let small_config = Test_parallel.small_config ~block_elems:16 ~threads:8
 let toy_mix = [ Test_parallel.toy_col; Test_parallel.toy_row ]
@@ -256,11 +266,6 @@ let test_zero_overhead_when_off () =
     Traffic_report.summary r ^ Traffic_report.verdict_line r
   in
   let off = report untraced in
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   checkb "untraced report has no exemplar line" true
     (not (has_needle off "exemplar"));
   (* verdict + all modeled tables: strip only the exemplar line from the
@@ -335,11 +340,6 @@ let test_exemplars_reach_report () =
   checkb "aggregate histogram carries exemplars" true
     (Histogram.has_exemplars r.Engine.agg_hist);
   let summary = Traffic_report.summary r in
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   checkb "report names exemplar traces" true
     (has_needle summary "exemplar traces:");
   (* every advertised exemplar id resolves to a trace in the file *)
@@ -365,17 +365,24 @@ let test_perfetto_traces_stable () =
   let a = Flo_analysis.Perfetto.json_of_traces traces in
   let b = Flo_analysis.Perfetto.json_of_traces traces in
   check_str "repeated export byte-identical" a b;
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
+  (* slices carry the ids the CLI renders: one pass over the export
+     collects every exported trace id, then each trace must be among them *)
+  let key = {|"trace_id":"|} in
+  let exported = Hashtbl.create 4096 in
+  let rec collect i =
+    let j = find_from a i key in
+    if j >= 0 then begin
+      let start = j + String.length key in
+      let stop = String.index_from a start '"' in
+      Hashtbl.replace exported (String.sub a start (stop - start)) ();
+      collect (stop + 1)
+    end
   in
-  (* slices carry the ids the CLI renders *)
+  collect 0;
   List.iter
     (fun (t : Trace.t) ->
       let id = Trace.id_to_string t.Trace.trace_id in
-      checkb (Printf.sprintf "trace_id %s exported" id) true
-        (has_needle a (Printf.sprintf {|"trace_id":"%s"|} id)))
+      checkb (Printf.sprintf "trace_id %s exported" id) true (Hashtbl.mem exported id))
     traces;
   checkb "span ids exported" true (has_needle a {|"span_id":"|})
 
